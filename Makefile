@@ -1,7 +1,19 @@
-.PHONY: check build test bench bench-serve bench-fault bench-mitigate bench-parallel bench-multimode bench-station bench-fleet bench-kernels
+.PHONY: check build test race bench bench-serve bench-fault bench-mitigate bench-parallel bench-multimode bench-station bench-fleet
 
 check:
 	sh scripts/check.sh
+
+# The concurrency-bearing packages, raced by both `make check` and CI:
+# the Monte-Carlo harness, the packed decoder and its shard pool, the
+# SEU protection layer shared by every decoder, the cross-decoder fault
+# oracle that exercises the shard pool under injection, the batching
+# decode server with its scheduler and worker pool, the multi-code mux
+# with its lazily built per-code pools, the streaming station front end
+# whose group submissions fan out goroutine-per-frame into that server,
+# and the fleet routing tier whose hedges, requeues and health-driven
+# ring rebuilds race against backend death.
+race:
+	go test -race ./internal/sim/... ./internal/batch/... ./internal/serve/... ./internal/registry/... ./internal/protect/... ./internal/fault/... ./internal/station/... ./internal/fleet/...
 
 build:
 	go build ./...
@@ -64,12 +76,3 @@ bench-fleet:
 # per decode at superbatch 8).
 bench-parallel:
 	go run ./cmd/ldpcthroughput -parallel -shards 1,2,4,8 -superbatches 1,4,8 -lanes 1,2,4,8 -mintime 400ms -json BENCH_parallel.json
-
-# Kernel A/B benchmark: indexed versus blocked (circulant-run) decode
-# kernels over the lanes × superbatch grid at one shard on the C2 code
-# — same frames, same arithmetic, only the memory layout of the CN/BN
-# hot path differs — with steady-state allocations per call (must be 0
-# for both), seeded into BENCH_kernels.json in the normalized
-# bench/schema.go record form.
-bench-kernels:
-	go run ./cmd/ldpcthroughput -kernels -superbatches 1,8 -lanes 1,2,4,8 -mintime 400ms -json BENCH_kernels.json

@@ -1,16 +1,13 @@
-// Package bench defines the normalized benchmark-record schema shared
-// by the repo's measurement tools (cmd/ldpcthroughput) and the checked-in
-// BENCH_*.json artifacts, so results taken on different machines or by
-// different sweeps stay comparable: one record shape, host context
-// stamped alongside every run, dimensions carried as explicit labels
-// instead of positional table columns.
+// Package bench holds the host context the repo's measurement tools
+// stamp alongside every run, so results taken on different machines
+// stay comparable.
 package bench
 
 import "runtime"
 
 // Env captures the host context a measurement ran under. A throughput
 // number without its core count and scheduler width is not comparable
-// to anything; every Report carries one.
+// to anything.
 type Env struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -28,45 +25,4 @@ func HostEnv() Env {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 	}
-}
-
-// Record is one benchmark measurement in normalized form. Name says
-// what was measured (e.g. "parallel_decode"); Labels carry the sweep
-// dimensions as strings (e.g. kernel=blocked, lanes=8, superbatch=1)
-// so consumers can filter and join without knowing each sweep's
-// geometry up front.
-type Record struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-
-	// FramesPerCall is the batch width of one measured call.
-	FramesPerCall int `json:"frames_per_call,omitempty"`
-
-	FramesPerSec float64 `json:"frames_per_sec"`
-	NsPerFrame   float64 `json:"ns_per_frame"`
-	// Mbps is information throughput: K bits per frame over the frame
-	// period.
-	Mbps float64 `json:"mbps,omitempty"`
-
-	// AllocsPerOp/BytesPerOp are steady-state heap allocations per
-	// measured call (0 for an allocation-free decode path).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-// Report is the JSON document a benchmark run writes: what ran, where,
-// and the records.
-type Report struct {
-	// Name identifies the sweep (e.g. "kernels-ab").
-	Name string `json:"name"`
-	Env  Env    `json:"env"`
-
-	// Code/Iterations/Format pin the decode workload all records share.
-	CodeName   string `json:"code_name,omitempty"`
-	CodeN      int    `json:"code_n,omitempty"`
-	CodeK      int    `json:"code_k,omitempty"`
-	Iterations int    `json:"iterations,omitempty"`
-	Format     string `json:"format,omitempty"`
-
-	Records []Record `json:"records"`
 }

@@ -391,9 +391,10 @@ func BenchmarkSoftwareDecodeNMS18FullCode(b *testing.B) {
 
 // --- Frame-packed SWAR batch decoding (paper's high-speed trick in
 // software): 8 frames as int8 lanes of uint64 words. The pair
-// BenchmarkScalarFixedDecode8 / BenchmarkBatchDecode8 measures the same
-// work — 8 noisy frames through the Q(5,1) fixed-latency datapath — so
-// frames_per_sec is directly comparable (the acceptance target is ≥3×).
+// BenchmarkScalarFixedDecode8 / BenchmarkParallelDecode's
+// shards=1,superbatch=1,lanes=1 cell measures the same work — 8 noisy
+// frames through the Q(5,1) fixed-latency datapath — so frames_per_sec
+// is directly comparable (the acceptance target is ≥3×).
 
 func batchBenchFrames(b *testing.B, c *code.Code, f fixed.Format) [][]int16 {
 	b.Helper()
@@ -430,51 +431,25 @@ func BenchmarkScalarFixedDecode8(b *testing.B) {
 	reportFramesPerSec(b, batch.Lanes, c)
 }
 
-func BenchmarkBatchDecode8(b *testing.B) {
-	c := ccsdsCode(b)
-	p := batchBenchParams()
-	d, err := batch.NewDecoderGraph(sharedGraph(b, c), p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs := batchBenchFrames(b, c, p.Format)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.DecodeQ(qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportFramesPerSec(b, batch.Lanes, c)
-}
-
-// BenchmarkParallelDecode measures the sharded wide-lane super-batch
-// decoder — the processing block scaled across P cores (DESIGN.md §10)
-// with W-word kernel strips (DESIGN.md §11) — over a
-// (shards × superbatch × lanes × kernel) grid. Every cell is
-// bit-identical to the single-word decoder of BenchmarkBatchDecode8;
-// only the partitioning, batch width and memory layout change, so
-// frames_per_sec isolates the scaling. The kernel dimension pins the
-// indexed versus circulant-blocked hot path (DESIGN.md §15) on the
-// widest strips, where the layout matters most.
+// BenchmarkParallelDecode measures the packed decoder — the
+// processing block scaled across P cores (DESIGN.md §10) with W-word
+// kernel strips (DESIGN.md §11) over the circulant-run layout
+// (DESIGN.md §15) — over a (shards × superbatch × lanes) grid. Every
+// cell is bit-identical to the single-word cell shards=1,superbatch=1,
+// lanes=1; only the partitioning and batch width change, so
+// frames_per_sec isolates the scaling.
 func BenchmarkParallelDecode(b *testing.B) {
 	c := ccsdsCode(b)
 	p := batchBenchParams()
-	for _, g := range []struct {
-		shards, super, lanes int
-		kernel               batch.Kernel
-	}{
-		{1, 1, 1, batch.KernelAuto}, {2, 1, 1, batch.KernelAuto}, {4, 1, 1, batch.KernelAuto},
-		{1, 8, 1, batch.KernelAuto}, {4, 8, 1, batch.KernelAuto},
-		{1, 1, 2, batch.KernelAuto}, {1, 1, 4, batch.KernelAuto}, {1, 1, 8, batch.KernelAuto},
-		{1, 8, 8, batch.KernelAuto}, {4, 8, 8, batch.KernelAuto},
-		{1, 1, 8, batch.KernelIndexed}, {1, 1, 8, batch.KernelBlocked},
-		{1, 8, 8, batch.KernelIndexed}, {1, 8, 8, batch.KernelBlocked},
+	for _, g := range []struct{ shards, super, lanes int }{
+		{1, 1, 1}, {2, 1, 1}, {4, 1, 1},
+		{1, 8, 1}, {4, 8, 1},
+		{1, 1, 2}, {1, 1, 4}, {1, 1, 8},
+		{1, 8, 8}, {4, 8, 8},
 	} {
-		b.Run(fmt.Sprintf("shards=%d,superbatch=%d,lanes=%d,kernel=%s", g.shards, g.super, g.lanes, g.kernel), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shards=%d,superbatch=%d,lanes=%d", g.shards, g.super, g.lanes), func(b *testing.B) {
 			d, err := batch.NewParallelGraph(sharedGraph(b, c), p, batch.ParallelConfig{
-				Shards: g.shards, SuperBatch: g.super, LaneWidth: g.lanes, Kernel: g.kernel,
+				Shards: g.shards, SuperBatch: g.super, LaneWidth: g.lanes,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -171,10 +171,9 @@ func buildDecoder(c *code.Code, cfg Config) (frameDecoder, error) {
 // wide word. QuantBits defaults to 5 here (the high-speed format); the
 // packed int8 lanes cannot hold the 6-bit low-cost format's sums.
 //
-// A batchSize beyond one 8-lane word, shards > 1, or laneWidth > 1
-// selects the sharded wide-lane super-batch decoder (batch.Parallel) —
-// bit-identical to the single-word decoder, scaled across strip words
-// and cores.
+// The super-batch depth is the fewest laneWidth-word strips that hold
+// batchSize frames; shards spreads each decode across cores. Every
+// geometry is bit-identical.
 func buildBatchDecoder(c *code.Code, cfg Config, batchSize, shards, laneWidth int) (sim.BatchDecoder, error) {
 	if !cfg.Quantized || cfg.Algorithm != NormalizedMinSum {
 		return nil, fmt.Errorf("ccsdsldpc: batch decoding requires the quantized NormalizedMinSum datapath")
@@ -209,16 +208,13 @@ func buildBatchDecoder(c *code.Code, cfg Config, batchSize, shards, laneWidth in
 	if !batch.ValidLaneWidth(laneWidth) {
 		return nil, fmt.Errorf("ccsdsldpc: lane width %d not in {1, 2, 4, 8}", laneWidth)
 	}
-	if shards > 1 || laneWidth > 1 || batchSize > batch.Lanes {
-		words := (batchSize + batch.Lanes - 1) / batch.Lanes
-		super := (words + laneWidth - 1) / laneWidth
-		if super > batch.MaxSuperBatch {
-			return nil, fmt.Errorf("ccsdsldpc: batch size %d beyond the %d-strip capacity at lane width %d",
-				batchSize, batch.MaxSuperBatch, laneWidth)
-		}
-		return batch.NewParallel(c, p, batch.ParallelConfig{Shards: shards, SuperBatch: super, LaneWidth: laneWidth})
+	words := (batchSize + batch.Lanes - 1) / batch.Lanes
+	super := (words + laneWidth - 1) / laneWidth
+	if super > batch.MaxSuperBatch {
+		return nil, fmt.Errorf("ccsdsldpc: batch size %d beyond the %d-strip capacity at lane width %d",
+			batchSize, batch.MaxSuperBatch, laneWidth)
 	}
-	return batch.NewDecoder(c, p)
+	return batch.NewParallel(c, p, batch.ParallelConfig{Shards: shards, SuperBatch: super, LaneWidth: laneWidth})
 }
 
 // N returns the codeword length (8176 for the CCSDS code).

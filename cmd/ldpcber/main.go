@@ -161,9 +161,9 @@ func main() {
 		// The frame-packed decoder is the quantized datapath with up to
 		// 8 frames' int8 messages per word; it is bit-compatible with
 		// -alg fixed, so the measured curve is unchanged — only faster.
-		// Beyond 8 frames, or with -shards or -lanes > 1, the sharded
-		// wide-lane super-batch decoder carries up to 64 words (512
-		// frames) per decode, still bit-exact.
+		// Beyond 8 frames it stacks up to 64 words (512 frames) per
+		// decode, and -shards and -lanes spread each decode across
+		// cores and wider strips, still bit-exact.
 		scale, err := fixed.ScaleForAlpha(*alpha, 4)
 		if err != nil {
 			log.Fatal(err)
@@ -174,17 +174,13 @@ func main() {
 		}
 		p := fixed.Params{Format: fixed.Format{Bits: *quant, Frac: frac}, Scale: scale, MaxIterations: *iters}
 		cfg.BatchSize = *batchN
-		if *shards > 1 || *lanesN > 1 || *batchN > batch.Lanes {
-			words := (*batchN + batch.Lanes - 1) / batch.Lanes
-			super := (words + *lanesN - 1) / *lanesN
-			if super > batch.MaxSuperBatch {
-				log.Fatalf("-batch %d exceeds the %d-strip capacity at -lanes %d (raise -lanes)", *batchN, batch.MaxSuperBatch, *lanesN)
-			}
-			cfg.NewBatchDecoder = func() (sim.BatchDecoder, error) {
-				return batch.NewParallel(c, p, batch.ParallelConfig{Shards: *shards, SuperBatch: super, LaneWidth: *lanesN})
-			}
-		} else {
-			cfg.NewBatchDecoder = func() (sim.BatchDecoder, error) { return batch.NewDecoder(c, p) }
+		words := (*batchN + batch.Lanes - 1) / batch.Lanes
+		super := (words + *lanesN - 1) / *lanesN
+		if super > batch.MaxSuperBatch {
+			log.Fatalf("-batch %d exceeds the %d-strip capacity at -lanes %d (raise -lanes)", *batchN, batch.MaxSuperBatch, *lanesN)
+		}
+		cfg.NewBatchDecoder = func() (sim.BatchDecoder, error) {
+			return batch.NewParallel(c, p, batch.ParallelConfig{Shards: *shards, SuperBatch: super, LaneWidth: *lanesN})
 		}
 	}
 	grid := sim.Sweep(*from, *to, *step)

@@ -64,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"ccsdsldpc/internal/batch"
 	"ccsdsldpc/internal/code"
 	"ccsdsldpc/internal/fixed"
 	"ccsdsldpc/internal/hwsim"
@@ -85,7 +84,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "shard goroutines per decoder (bit-exact multi-core decode)")
 		super     = flag.Int("superbatch", 1, "strips per dispatch, 1..8 (widens batches to 8×superbatch×lanes frames)")
 		lanes     = flag.Int("lanes", 1, "strip width in 8-frame words (1, 2, 4 or 8; bit-exact wide-lane kernels)")
-		kernel    = flag.String("kernel", "auto", "decode kernel layout: auto, indexed or blocked (all bit-exact)")
 		iters     = flag.Int("iters", 18, "decoding iterations (the paper's operating point)")
 		linger    = flag.Duration("linger", 500*time.Microsecond, "max wait to fill an 8-lane batch")
 		queue     = flag.Int("queue", 0, "frame queue depth before shedding (0 = default)")
@@ -105,17 +103,12 @@ func main() {
 	p := fixed.DefaultHighSpeedParams()
 	p.MaxIterations = *iters
 	p.DisableEarlyStop = !*earlyStop
-	kern, err := batch.ParseKernel(*kernel)
-	if err != nil {
-		log.Fatal(err)
-	}
 	m, err := registry.NewMux(reg, served, serve.Config{
 		Params:       p,
 		Workers:      *workers,
 		Shards:       *shards,
 		SuperBatch:   *super,
 		LaneWidth:    *lanes,
-		Kernel:       kern,
 		Linger:       *linger,
 		QueueDepth:   *queue,
 		Deadline:     *deadline,

@@ -12,19 +12,9 @@
 // scaling the paper's processing block with more CN/BN units and wider
 // memory words — reporting frames/s, ns/frame, Mbit/s and the p50
 // latency of a single full batch. Each decode carries
-// superbatch × lanes × 8 frames, up to 512. -kernel pins the decode
-// kernel layout for the sweep (auto, indexed, blocked — or "both" to
-// measure indexed and blocked side by side per cell). -json writes the
-// matrix (with host CPU topology, so results from different machines
-// stay comparable) to a file.
-//
-// With -kernels it runs the indexed-versus-blocked kernel A/B on the
-// selected code: both kernel layouts over the lanes × superbatch grid
-// at one shard, reporting frames/s, ns/frame, Mbit/s, steady-state
-// allocations per call and the blocked/indexed speedup per geometry.
-// -json writes the A/B as a normalized bench.Report (bench/schema.go)
-// — the generator of the checked-in BENCH_kernels.json (make
-// bench-kernels).
+// superbatch × lanes × 8 frames, up to 512. -json writes the matrix
+// (with host CPU topology, so results from different machines stay
+// comparable) to a file.
 //
 // All software measurements repeat their workload until a minimum wall
 // time has elapsed, so the rates are immune to sub-millisecond timer
@@ -40,8 +30,7 @@
 //	ldpcthroughput [-code c2] [-iters 10,18,50] [-clock 200] [-detail]
 //	               [-batch 8] [-batchframes 64]
 //	               [-parallel] [-shards 1,2,4,8] [-superbatches 1,4,8]
-//	               [-lanes 1,2,4,8] [-kernel auto|indexed|blocked|both]
-//	               [-kernels] [-json BENCH_parallel.json]
+//	               [-lanes 1,2,4,8] [-json BENCH_parallel.json]
 //	               [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
@@ -58,14 +47,12 @@ import (
 	"strings"
 	"time"
 
-	"ccsdsldpc/bench"
 	"ccsdsldpc/internal/batch"
 	"ccsdsldpc/internal/bitvec"
 	"ccsdsldpc/internal/channel"
 	"ccsdsldpc/internal/code"
 	"ccsdsldpc/internal/fixed"
 	"ccsdsldpc/internal/hwsim"
-	"ccsdsldpc/internal/ldpc"
 	"ccsdsldpc/internal/registry"
 	"ccsdsldpc/internal/rng"
 	"ccsdsldpc/internal/throughput"
@@ -98,9 +85,7 @@ func run() error {
 		shardsF    = flag.String("shards", "1,2,4,8", "shard counts for the -parallel sweep")
 		supersF    = flag.String("superbatches", "1,4,8", "super-batch depths (strips) for the -parallel sweep")
 		lanesF     = flag.String("lanes", "1,2,4,8", "strip widths (words) for the -parallel sweep, each in {1, 2, 4, 8}")
-		kernelF    = flag.String("kernel", "auto", "kernel layout for the -parallel sweep: auto, indexed, blocked, or both (A/B per cell)")
-		kernelsAB  = flag.Bool("kernels", false, "run the indexed-vs-blocked kernel A/B (lanes × superbatches at 1 shard)")
-		jsonPath   = flag.String("json", "", "write the -parallel matrix (or the -kernels bench.Report) as JSON to this file")
+		jsonPath   = flag.String("json", "", "write the -parallel matrix as JSON to this file")
 		minTime    = flag.Duration("mintime", minMeasure, "minimum wall time per software measurement round")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -138,16 +123,6 @@ func run() error {
 		if !batch.ValidLaneWidth(l) {
 			return fmt.Errorf("-lanes entries must be in {1, 2, 4, 8}, got %d", l)
 		}
-	}
-	var kernels []batch.Kernel
-	if *kernelF == "both" {
-		kernels = []batch.Kernel{batch.KernelIndexed, batch.KernelBlocked}
-	} else {
-		k, err := batch.ParseKernel(*kernelF)
-		if err != nil {
-			return err
-		}
-		kernels = []batch.Kernel{k}
 	}
 
 	if *cpuprofile != "" {
@@ -203,13 +178,7 @@ func run() error {
 	}
 
 	if *parallel {
-		if err := parallelReport(c, punctured, shards, supers, lanes, kernels, *jsonPath); err != nil {
-			return err
-		}
-	}
-
-	if *kernelsAB {
-		if err := kernelsReport(entry.Name, c, punctured, supers, lanes, *jsonPath); err != nil {
+		if err := parallelReport(c, punctured, shards, supers, lanes, *jsonPath); err != nil {
 			return err
 		}
 	}
@@ -310,10 +279,11 @@ func softwareBatchReport(c *code.Code, punctured []int, lanes, frames int) error
 	if err != nil {
 		return err
 	}
-	bd, err := batch.NewDecoder(c, p)
+	bd, err := batch.NewParallel(c, p, batch.ParallelConfig{})
 	if err != nil {
 		return err
 	}
+	defer bd.Close()
 	qs, err := noisyFrames(c, punctured, p.Format, frames)
 	if err != nil {
 		return err
@@ -354,13 +324,12 @@ func softwareBatchReport(c *code.Code, punctured []int, lanes, frames int) error
 	return nil
 }
 
-// ParallelCell is one (shards, superbatch, lanes, kernel) measurement
-// of the sharded wide-lane super-batch decoder.
+// ParallelCell is one (shards, superbatch, lanes) measurement of the
+// sharded wide-lane super-batch decoder.
 type ParallelCell struct {
 	Shards          int     `json:"shards"`
 	SuperBatch      int     `json:"superbatch"`
 	LaneWidth       int     `json:"lane_width"`
-	Kernel          string  `json:"kernel"`
 	Frames          int     `json:"frames_per_call"`
 	FramesPerSec    float64 `json:"frames_per_sec"`
 	NsPerFrame      float64 `json:"ns_per_frame"`
@@ -387,7 +356,7 @@ type ParallelMatrix struct {
 // the (shards × superbatches × lanes) matrix on full super-batches of
 // deterministic noisy frames, printing a table and optionally writing
 // JSON.
-func parallelReport(c *code.Code, punctured []int, shards, supers, lanes []int, kernels []batch.Kernel, jsonPath string) error {
+func parallelReport(c *code.Code, punctured []int, shards, supers, lanes []int, jsonPath string) error {
 	p := fixed.DefaultHighSpeedParams()
 	p.DisableEarlyStop = true
 	maxFrames := 0
@@ -412,179 +381,59 @@ func parallelReport(c *code.Code, punctured []int, shards, supers, lanes []int, 
 		Iterations: p.MaxIterations,
 		Format:     p.Format.String(),
 	}
-	type baseKey struct {
-		w, l int
-		k    string
-	}
-	base := map[baseKey]float64{} // (superbatch, lanes, kernel) → shards=1 seconds/frame
+	type baseKey struct{ w, l int }
+	base := map[baseKey]float64{} // (superbatch, lanes) → shards=1 seconds/frame
 	fmt.Printf("\nSharded wide-lane super-batch decoder — Q(%d,%d), %d iterations, fixed period, GOMAXPROCS=%d, NumCPU=%d:\n",
 		p.Format.Bits, p.Format.Frac, p.MaxIterations, doc.GOMAXPROCS, doc.NumCPU)
-	fmt.Printf("  %6s %10s %6s %8s %8s %12s %12s %10s %14s %8s\n",
-		"shards", "superbatch", "lanes", "kernel", "frames", "frames/s", "ns/frame", "Mbit/s", "p50 batch µs", "speedup")
+	fmt.Printf("  %6s %10s %6s %8s %12s %12s %10s %14s %8s\n",
+		"shards", "superbatch", "lanes", "frames", "frames/s", "ns/frame", "Mbit/s", "p50 batch µs", "speedup")
 	for _, w := range supers {
 		for _, l := range lanes {
 			for _, s := range shards {
-				for _, kn := range kernels {
-					d, err := batch.NewParallel(c, p, batch.ParallelConfig{Shards: s, SuperBatch: w, LaneWidth: l, Kernel: kn})
-					if err != nil {
-						return err
-					}
-					resolved := d.Kernel().String()
-					nf := d.Capacity()
-					spf, err := perFrameSecondsN(5, nf, func() error {
-						_, err := d.DecodeQ(qs[:nf])
-						return err
-					})
-					if err != nil {
-						d.Close()
-						return err
-					}
-					p50, err := p50BatchLatency(d, qs[:nf])
-					d.Close()
-					if err != nil {
-						return err
-					}
-					cell := ParallelCell{
-						Shards:         s,
-						SuperBatch:     w,
-						LaneWidth:      l,
-						Kernel:         resolved,
-						Frames:         nf,
-						FramesPerSec:   1 / spf,
-						NsPerFrame:     spf * 1e9,
-						Mbps:           float64(c.K) / spf / 1e6,
-						P50BatchMicros: p50.Seconds() * 1e6,
-					}
-					if s == 1 {
-						base[baseKey{w, l, resolved}] = spf
-					}
-					if b, ok := base[baseKey{w, l, resolved}]; ok && b > 0 {
-						cell.SpeedupVsShard1 = b / spf
-					}
-					doc.Matrix = append(doc.Matrix, cell)
-					fmt.Printf("  %6d %10d %6d %8s %8d %12.1f %12.0f %10.2f %14.1f %7.2fx\n",
-						cell.Shards, cell.SuperBatch, cell.LaneWidth, cell.Kernel, cell.Frames,
-						cell.FramesPerSec, cell.NsPerFrame,
-						cell.Mbps, cell.P50BatchMicros, cell.SpeedupVsShard1)
+				d, err := batch.NewParallel(c, p, batch.ParallelConfig{Shards: s, SuperBatch: w, LaneWidth: l})
+				if err != nil {
+					return err
 				}
+				nf := d.Capacity()
+				spf, err := perFrameSecondsN(5, nf, func() error {
+					_, err := d.DecodeQ(qs[:nf])
+					return err
+				})
+				if err != nil {
+					d.Close()
+					return err
+				}
+				p50, err := p50BatchLatency(d, qs[:nf])
+				d.Close()
+				if err != nil {
+					return err
+				}
+				cell := ParallelCell{
+					Shards:         s,
+					SuperBatch:     w,
+					LaneWidth:      l,
+					Frames:         nf,
+					FramesPerSec:   1 / spf,
+					NsPerFrame:     spf * 1e9,
+					Mbps:           float64(c.K) / spf / 1e6,
+					P50BatchMicros: p50.Seconds() * 1e6,
+				}
+				if s == 1 {
+					base[baseKey{w, l}] = spf
+				}
+				if b, ok := base[baseKey{w, l}]; ok && b > 0 {
+					cell.SpeedupVsShard1 = b / spf
+				}
+				doc.Matrix = append(doc.Matrix, cell)
+				fmt.Printf("  %6d %10d %6d %8d %12.1f %12.0f %10.2f %14.1f %7.2fx\n",
+					cell.Shards, cell.SuperBatch, cell.LaneWidth, cell.Frames,
+					cell.FramesPerSec, cell.NsPerFrame,
+					cell.Mbps, cell.P50BatchMicros, cell.SpeedupVsShard1)
 			}
 		}
 	}
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// kernelsReport runs the indexed-versus-blocked A/B: the same frames
-// through both kernel layouts over the lanes × superbatches grid at one
-// shard, so the only variable per pair is the memory layout of the
-// CN/BN hot path. Steady-state allocations are measured over the timed
-// DecodeQInto loop (the pool decode path) and must be zero for both
-// kernels. jsonPath, when set, receives a normalized bench.Report — the
-// generator of the checked-in BENCH_kernels.json.
-func kernelsReport(codeName string, c *code.Code, punctured []int, supers, lanes []int, jsonPath string) error {
-	p := fixed.DefaultHighSpeedParams()
-	p.DisableEarlyStop = true
-	maxFrames := 0
-	for _, w := range supers {
-		for _, l := range lanes {
-			if w*l*batch.Lanes > maxFrames {
-				maxFrames = w * l * batch.Lanes
-			}
-		}
-	}
-	qs, err := noisyFrames(c, punctured, p.Format, maxFrames)
-	if err != nil {
-		return err
-	}
-
-	rep := bench.Report{
-		Name:       "kernels-ab",
-		Env:        bench.HostEnv(),
-		CodeName:   codeName,
-		CodeN:      c.N,
-		CodeK:      c.K,
-		Iterations: p.MaxIterations,
-		Format:     p.Format.String(),
-	}
-	fmt.Printf("\nKernel A/B (indexed vs blocked) — %s, Q(%d,%d), %d iterations, fixed period, 1 shard, GOMAXPROCS=%d, NumCPU=%d:\n",
-		codeName, p.Format.Bits, p.Format.Frac, p.MaxIterations, rep.Env.GOMAXPROCS, rep.Env.NumCPU)
-	fmt.Printf("  %10s %6s %8s %8s %12s %12s %10s %10s %8s\n",
-		"superbatch", "lanes", "kernel", "frames", "frames/s", "ns/frame", "Mbit/s", "allocs/op", "speedup")
-	for _, w := range supers {
-		for _, l := range lanes {
-			var indexedSPF float64
-			for _, kn := range []batch.Kernel{batch.KernelIndexed, batch.KernelBlocked} {
-				d, err := batch.NewParallel(c, p, batch.ParallelConfig{Shards: 1, SuperBatch: w, LaneWidth: l, Kernel: kn})
-				if err != nil {
-					return err
-				}
-				nf := d.Capacity()
-				res := make([]ldpc.Result, nf)
-				for f := range res {
-					res[f].Bits = bitvec.New(c.N)
-				}
-				// Warm up, then meter steady-state allocations over one
-				// timed round — the pool's allocation-free decode path.
-				if err := d.DecodeQInto(res, qs[:nf]); err != nil {
-					d.Close()
-					return err
-				}
-				calls := 0
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				spf, err := perFrameSecondsN(5, nf, func() error {
-					calls++
-					return d.DecodeQInto(res, qs[:nf])
-				})
-				runtime.ReadMemStats(&m1)
-				d.Close()
-				if err != nil {
-					return err
-				}
-				allocsPerOp := float64(m1.Mallocs-m0.Mallocs) / float64(calls)
-				bytesPerOp := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(calls)
-				cell := bench.Record{
-					Name: "parallel_decode",
-					Labels: map[string]string{
-						"kernel":     kn.String(),
-						"shards":     "1",
-						"superbatch": strconv.Itoa(w),
-						"lanes":      strconv.Itoa(l),
-					},
-					FramesPerCall: nf,
-					FramesPerSec:  1 / spf,
-					NsPerFrame:    spf * 1e9,
-					Mbps:          float64(c.K) / spf / 1e6,
-					AllocsPerOp:   allocsPerOp,
-					BytesPerOp:    bytesPerOp,
-				}
-				rep.Records = append(rep.Records, cell)
-				speedup := 0.0
-				if kn == batch.KernelIndexed {
-					indexedSPF = spf
-				} else if indexedSPF > 0 {
-					speedup = indexedSPF / spf
-				}
-				su := "      —"
-				if speedup > 0 {
-					su = fmt.Sprintf("%7.2fx", speedup)
-				}
-				fmt.Printf("  %10d %6d %8s %8d %12.1f %12.0f %10.2f %10.1f %s\n",
-					w, l, kn.String(), nf, cell.FramesPerSec, cell.NsPerFrame, cell.Mbps, allocsPerOp, su)
-			}
-		}
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}

@@ -27,49 +27,56 @@ func skipUnderFuzzEngine(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc is the zero-alloc regression guard over all
-// decode paths — scalar fixed-point, single-word SWAR, and the sharded
-// super-batch decoder at every strip width: once warmed up, a decode
-// iteration must allocate nothing, or the serving layer's
-// allocation-free worker contract (and the shard pool's
+// bestAllocs warms run up and returns the fewest allocations per call
+// over a few AllocsPerRun attempts: a loaded box can land
+// runtime-internal allocations (GC assists, timer wheel) inside one
+// window, but a decode path that really allocates does so on every
+// attempt.
+func bestAllocs(run func()) float64 {
+	run()
+	best := testing.AllocsPerRun(10, run)
+	for try := 0; try < 2 && best != 0; try++ {
+		if a := testing.AllocsPerRun(10, run); a < best {
+			best = a
+		}
+	}
+	return best
+}
+
+// TestSteadyStateZeroAlloc is the zero-alloc regression guard over the
+// decode paths — scalar fixed-point and the packed decoder at every
+// strip width, over both memory layouts (circulant-run "blocked" and
+// the identity "indexed" layout of a graph without a circulant table):
+// once warmed up, a decode iteration must allocate nothing, or the
+// serving layer's allocation-free worker contract (and the shard pool's
 // reusable-barrier design) has rotted.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	skipUnderFuzzEngine(t)
 	c := smallCode(t)
 	p := highSpeedParams()
 	g := ldpc.NewGraph(c)
+	bare := *g
+	bare.QC = nil
+	layouts := []struct {
+		name string
+		g    *ldpc.Graph
+	}{{"indexed", &bare}, {"blocked", g}}
 
 	fd, err := fixed.NewDecoderGraph(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := NewDecoderGraph(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	q := noisyQ(t, c, p.Format, 3.0, 42)
-	qs := make([][]int16, Lanes)
-	res := make([]ldpc.Result, Lanes)
-	for f := range qs {
-		qs[f] = noisyQ(t, c, p.Format, 3.0, uint64(f))
-		res[f].Bits = bitvec.New(c.N)
-	}
 
 	cases := []struct {
 		name string
 		run  func()
 	}{
 		{"scalar", func() { fd.DecodeQ(q) }},
-		{"swar", func() {
-			if err := bd.DecodeQInto(res, qs); err != nil {
-				t.Fatal(err)
-			}
-		}},
 	}
 	for _, lw := range LaneWidths {
-		for _, kern := range []Kernel{KernelIndexed, KernelBlocked} {
-			pd, err := NewParallelGraph(g, p, ParallelConfig{Shards: 4, SuperBatch: 4, LaneWidth: lw, Kernel: kern})
+		for _, lay := range layouts {
+			pd, err := NewParallelGraph(lay.g, p, ParallelConfig{Shards: 4, SuperBatch: 4, LaneWidth: lw})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +91,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			cases = append(cases, struct {
 				name string
 				run  func()
-			}{fmt.Sprintf("sharded/L%d/%s", lw, kern), func() {
+			}{fmt.Sprintf("sharded/L%d/%s", lw, lay.name), func() {
 				if err := pd.DecodeQInto(resp, qsp); err != nil {
 					t.Fatal(err)
 				}
@@ -94,18 +101,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.run() // warm-up
-			// Take the best of a few attempts: a loaded box can land
-			// runtime-internal allocations (GC assists, timer wheel)
-			// inside one AllocsPerRun window, but a decode path that
-			// really allocates does so on every attempt.
-			best := testing.AllocsPerRun(10, tc.run)
-			for try := 0; try < 2 && best != 0; try++ {
-				if a := testing.AllocsPerRun(10, tc.run); a < best {
-					best = a
-				}
-			}
-			if best != 0 {
+			if best := bestAllocs(tc.run); best != 0 {
 				t.Errorf("%s decode allocates %.1f objects per call, want 0", tc.name, best)
 			}
 		})

@@ -44,57 +44,67 @@ func noisyQ(t testing.TB, c *code.Code, f fixed.Format, ebn0 float64, seed uint6
 	return f.QuantizeSlice(nil, ch.CorruptCodeword(cw, r))
 }
 
-// crossCheck decodes frames through fixed.Decoder and batch.Decoder in
-// batches of up to Lanes and requires identical hard decisions,
-// iteration counts and convergence flags per frame.
-func crossCheck(t *testing.T, c *code.Code, p fixed.Params, ebn0 float64, frames int, seedBase uint64) {
+// checkLanes decodes qs through fixed.Decoder frame by frame and
+// through a Parallel decoder of geometry cfg in calls of up to its
+// capacity, and requires identical hard decisions, iteration counts
+// and convergence flags per frame. A non-nil inj perturbs both
+// decoders: lane k of its address space is frame k of each call.
+func checkLanes(t *testing.T, g *ldpc.Graph, cfg ParallelConfig, p fixed.Params, qs [][]int16, inj fixed.Injector) {
 	t.Helper()
-	g := ldpc.NewGraph(c)
 	scalar, err := fixed.NewDecoderGraph(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := NewDecoderGraph(g, p)
+	pd, err := NewParallelGraph(g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for base := 0; base < frames; base += Lanes {
-		nf := Lanes
-		if frames-base < nf {
-			nf = frames - base
+	defer pd.Close()
+	cap := pd.Capacity()
+	for base := 0; base < len(qs); base += cap {
+		batch := qs[base:min(base+cap, len(qs))]
+		if inj != nil {
+			pd.SetInjector(inj)
 		}
-		qs := make([][]int16, nf)
-		for f := range qs {
-			qs[f] = noisyQ(t, c, p.Format, ebn0, seedBase+uint64(base+f))
-		}
-		got, err := packed.DecodeQ(qs)
+		got, err := pd.DecodeQ(batch)
+		pd.SetInjector(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != nf {
-			t.Fatalf("batch returned %d results for %d frames", len(got), nf)
-		}
-		for f := 0; f < nf; f++ {
-			want := scalar.DecodeQ(qs[f])
-			if got[f].Iterations != want.Iterations || got[f].Converged != want.Converged {
-				t.Fatalf("frame %d: batch (iters %d, conv %v) vs fixed (iters %d, conv %v)",
-					base+f, got[f].Iterations, got[f].Converged, want.Iterations, want.Converged)
+		for f, q := range batch {
+			if inj != nil {
+				scalar.SetInjector(inj, f)
 			}
-			diff := got[f].Bits.Clone()
-			diff.Xor(want.Bits)
-			if w := diff.PopCount(); w != 0 {
-				t.Fatalf("frame %d: hard decisions differ in %d bits", base+f, w)
+			want := scalar.DecodeQ(q)
+			if !got[f].Bits.Equal(want.Bits) {
+				t.Fatalf("%+v frame %d: hard decision diverges from fixed", cfg, base+f)
+			}
+			if got[f].Iterations != want.Iterations || got[f].Converged != want.Converged {
+				t.Fatalf("%+v frame %d: (it=%d conv=%v) vs fixed (it=%d conv=%v)",
+					cfg, base+f, got[f].Iterations, got[f].Converged, want.Iterations, want.Converged)
 			}
 		}
 	}
 }
 
+// crossCheck draws frames noisy random codewords of c at ebn0 and
+// checks them lane for lane against fixed.Decoder at geometry cfg.
+func crossCheck(t *testing.T, c *code.Code, cfg ParallelConfig, p fixed.Params, ebn0 float64, frames int, seedBase uint64) {
+	t.Helper()
+	qs := make([][]int16, frames)
+	for f := range qs {
+		qs[f] = noisyQ(t, c, p.Format, ebn0, seedBase+uint64(f))
+	}
+	checkLanes(t, ldpc.NewGraph(c), cfg, p, qs, nil)
+}
+
 // TestCrossCheckFixedQ51SmallCode drives noisy frames spanning
-// converged, non-converged and erroneous decodes through both paths.
+// converged, non-converged and erroneous decodes through the
+// single-word geometry.
 func TestCrossCheckFixedQ51SmallCode(t *testing.T) {
 	c := smallCode(t)
 	for _, ebn0 := range []float64{2.0, 3.5, 5.0} {
-		crossCheck(t, c, highSpeedParams(), ebn0, 64, uint64(1000*ebn0))
+		crossCheck(t, c, ParallelConfig{}, highSpeedParams(), ebn0, 64, uint64(1000*ebn0))
 	}
 }
 
@@ -109,51 +119,25 @@ func TestCrossCheckFixedQ51CCSDS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossCheck(t, c, highSpeedParams(), 4.2, 104, 7)
+	crossCheck(t, c, ParallelConfig{}, highSpeedParams(), 4.2, 104, 7)
 }
 
 // TestCrossCheckDisableEarlyStop exercises the fixed-latency schedule:
 // all iterations run, per-lane convergence read from the final
 // syndrome.
 func TestCrossCheckDisableEarlyStop(t *testing.T) {
-	c := smallCode(t)
 	p := highSpeedParams()
 	p.MaxIterations = 6
 	p.DisableEarlyStop = true
-	crossCheck(t, c, p, 3.0, 40, 99)
+	crossCheck(t, smallCode(t), ParallelConfig{}, p, 3.0, 40, 99)
 }
 
 // TestPartialBatches checks the tail path: every batch width 1..Lanes
 // must agree with the scalar decoder.
 func TestPartialBatches(t *testing.T) {
 	c := smallCode(t)
-	p := highSpeedParams()
-	g := ldpc.NewGraph(c)
-	scalar, err := fixed.NewDecoderGraph(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := NewDecoderGraph(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for nf := 1; nf <= Lanes; nf++ {
-		qs := make([][]int16, nf)
-		for f := range qs {
-			qs[f] = noisyQ(t, c, p.Format, 3.0, uint64(500+nf*Lanes+f))
-		}
-		got, err := packed.DecodeQ(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < nf; f++ {
-			want := scalar.DecodeQ(qs[f])
-			diff := got[f].Bits.Clone()
-			diff.Xor(want.Bits)
-			if diff.PopCount() != 0 || got[f].Iterations != want.Iterations || got[f].Converged != want.Converged {
-				t.Fatalf("width %d frame %d disagrees with scalar", nf, f)
-			}
-		}
+		crossCheck(t, c, ParallelConfig{}, highSpeedParams(), 3.0, nf, uint64(500+nf*Lanes))
 	}
 }
 
@@ -162,10 +146,11 @@ func TestPartialBatches(t *testing.T) {
 func TestLaneIndependence(t *testing.T) {
 	c := smallCode(t)
 	p := highSpeedParams()
-	packed, err := NewDecoder(c, p)
+	packed, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer packed.Close()
 	qs := make([][]int16, Lanes)
 	for f := range qs {
 		qs[f] = noisyQ(t, c, p.Format, 2.5, uint64(7000+f))
@@ -186,9 +171,7 @@ func TestLaneIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff := alone[0].Bits.Clone()
-		diff.Xor(saved[f])
-		if diff.PopCount() != 0 || alone[0].Iterations != iters[f] {
+		if !alone[0].Bits.Equal(saved[f]) || alone[0].Iterations != iters[f] {
 			t.Fatalf("lane %d decodes differently alone", f)
 		}
 	}
@@ -200,10 +183,11 @@ func TestLaneIndependence(t *testing.T) {
 func TestFloatDecodeMatchesQuantizePlusDecodeQ(t *testing.T) {
 	c := smallCode(t)
 	p := highSpeedParams()
-	packed, err := NewDecoder(c, p)
+	packed, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer packed.Close()
 	ch, err := channel.NewAWGN(3.0, c.Rate())
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +212,7 @@ func TestFloatDecodeMatchesQuantizePlusDecodeQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	for f := range b {
-		diff := b[f].Bits.Clone()
-		diff.Xor(first[f])
-		if diff.PopCount() != 0 {
+		if !b[f].Bits.Equal(first[f]) {
 			t.Fatalf("frame %d: Decode and DecodeQ disagree", f)
 		}
 	}
@@ -238,22 +220,23 @@ func TestFloatDecodeMatchesQuantizePlusDecodeQ(t *testing.T) {
 
 func TestConstructorRejectsWideFormats(t *testing.T) {
 	c := smallCode(t)
-	if _, err := NewDecoder(c, fixed.DefaultLowCostParams()); err == nil {
+	if _, err := NewParallel(c, fixed.DefaultLowCostParams(), ParallelConfig{}); err == nil {
 		t.Fatal("Q(6,2) must not fit int8 lanes on a column-weight-4 code")
 	}
 	p := highSpeedParams()
 	p.MaxIterations = 0
-	if _, err := NewDecoder(c, p); err == nil {
+	if _, err := NewParallel(c, p, ParallelConfig{}); err == nil {
 		t.Fatal("MaxIterations 0 accepted")
 	}
 }
 
 func TestDecodeArgumentErrors(t *testing.T) {
 	c := smallCode(t)
-	d, err := NewDecoder(c, highSpeedParams())
+	d, err := NewParallel(c, highSpeedParams(), ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	if _, err := d.DecodeQ(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
@@ -273,10 +256,11 @@ func TestDecodeArgumentErrors(t *testing.T) {
 // hard decisions.
 func TestAllZeroConvergesImmediately(t *testing.T) {
 	c := smallCode(t)
-	d, err := NewDecoder(c, highSpeedParams())
+	d, err := NewParallel(c, highSpeedParams(), ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	max := highSpeedParams().Format.Max()
 	qs := make([][]int16, Lanes)
 	for f := range qs {
@@ -296,10 +280,11 @@ func TestAllZeroConvergesImmediately(t *testing.T) {
 	}
 }
 
-func ExampleDecoder_DecodeQ() {
+func ExampleParallel_DecodeQ() {
 	c, _ := code.SmallTestCode(2, 4, 31, 1)
-	d, _ := NewDecoder(c, fixed.DefaultHighSpeedParams())
-	frames := make([][]int16, Lanes)
+	d, _ := NewParallel(c, fixed.DefaultHighSpeedParams(), ParallelConfig{})
+	defer d.Close()
+	frames := make([][]int16, d.Capacity())
 	for f := range frames {
 		frames[f] = make([]int16, c.N) // all-erasure input per frame
 	}

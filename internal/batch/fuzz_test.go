@@ -16,12 +16,10 @@ import (
 // all-zero, alternating-saturated and other degenerate words that
 // stress the SWAR carry and sign handling.
 //
-// Each input also replays through a sharded super-batch decoder whose
-// (shards, superbatch, lanewidth) geometry is derived from the fuzz
-// input — the super-batch carrying extra rotated copies of the frames
-// so partial tail words, multi-word strips and multi-strip batches are
-// exercised — extending the same lane-for-lane oracle to the
-// multi-core wide-lane path.
+// The decoder's (shards, superbatch, lanewidth) geometry is derived
+// from the fuzz input, and the super-batch carries rotated copies of
+// the fuzzed bytes, so partial tail words, multi-word strips and
+// multi-strip batches are all exercised.
 func FuzzBatchVsFixed(f *testing.F) {
 	c, err := code.SmallTestCode(2, 4, 31, 1)
 	if err != nil {
@@ -34,7 +32,6 @@ func FuzzBatchVsFixed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, iters, lanes uint8) {
 		p := fixed.DefaultHighSpeedParams()
 		p.MaxIterations = 1 + int(iters)%25
-		nf := 1 + int(lanes)%Lanes
 		shards := 1 + int(iters)%5
 		laneWidth := LaneWidths[(int(iters)+int(lanes))%len(LaneWidths)]
 		superBatch := 1 + int(lanes)%4
@@ -43,8 +40,9 @@ func FuzzBatchVsFixed(f *testing.F) {
 		}
 		// Total frames fill the super-batch's words minus a tail, so the
 		// last word — and usually the last strip — is partial.
-		nfp := superBatch*laneWidth*Lanes - int(iters)%Lanes
-		frame := func(ln int) []int16 {
+		nf := superBatch*laneWidth*Lanes - int(iters)%Lanes
+		qs := make([][]int16, nf)
+		for ln := range qs {
 			// Each frame is a rotation of the fuzzed bytes, folded into
 			// the Q(5,1) range [-15, +15].
 			q := make([]int16, c.N)
@@ -55,21 +53,9 @@ func FuzzBatchVsFixed(f *testing.F) {
 				}
 				q[j] = int16(b%31) - 15
 			}
-			return q
-		}
-		qs := make([][]int16, nf)
-		for ln := range qs {
-			qs[ln] = frame(ln)
-		}
-		qsp := make([][]int16, nfp)
-		for ln := range qsp {
-			qsp[ln] = frame(ln)
+			qs[ln] = q
 		}
 
-		bd, err := NewDecoder(c, p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		pd, err := NewParallel(c, p, ParallelConfig{Shards: shards, SuperBatch: superBatch, LaneWidth: laneWidth})
 		if err != nil {
 			t.Fatal(err)
@@ -79,33 +65,19 @@ func FuzzBatchVsFixed(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bd.DecodeQ(qs)
+		got, err := pd.DecodeQ(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ln := 0; ln < nf; ln++ {
 			want := fd.DecodeQ(qs[ln])
 			if !got[ln].Bits.Equal(want.Bits) {
-				t.Fatalf("lane %d/%d, %d iters: hard decisions diverge from scalar decoder", ln, nf, p.MaxIterations)
+				t.Fatalf("S%dW%dL%d frame %d/%d, %d iters: sharded hard decisions diverge from scalar decoder",
+					shards, superBatch, laneWidth, ln, nf, p.MaxIterations)
 			}
 			if got[ln].Iterations != want.Iterations || got[ln].Converged != want.Converged {
-				t.Fatalf("lane %d/%d: batch (it=%d conv=%v) vs scalar (it=%d conv=%v)",
-					ln, nf, got[ln].Iterations, got[ln].Converged, want.Iterations, want.Converged)
-			}
-		}
-		pgot, err := pd.DecodeQ(qsp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ln := 0; ln < nfp; ln++ {
-			want := fd.DecodeQ(qsp[ln])
-			if !pgot[ln].Bits.Equal(want.Bits) {
-				t.Fatalf("S%dW%dL%d frame %d/%d, %d iters: sharded hard decisions diverge from scalar decoder",
-					shards, superBatch, laneWidth, ln, nfp, p.MaxIterations)
-			}
-			if pgot[ln].Iterations != want.Iterations || pgot[ln].Converged != want.Converged {
 				t.Fatalf("S%dW%dL%d frame %d/%d: sharded (it=%d conv=%v) vs scalar (it=%d conv=%v)",
-					shards, superBatch, laneWidth, ln, nfp, pgot[ln].Iterations, pgot[ln].Converged, want.Iterations, want.Converged)
+					shards, superBatch, laneWidth, ln, nf, got[ln].Iterations, got[ln].Converged, want.Iterations, want.Converged)
 			}
 		}
 	})

@@ -8,20 +8,23 @@ import (
 )
 
 // TestDecodeQIntoMatchesDecodeQ checks the caller-owned-result path
-// against the shared-vector path on identical frames: same hard
-// decisions, iterations and convergence, with the caller's vectors
-// filled in place and decoder state never aliased.
+// against the shared-vector path on identical frames at the
+// single-word geometry: same hard decisions, iterations and
+// convergence, with the caller's vectors filled in place and decoder
+// state never aliased.
 func TestDecodeQIntoMatchesDecodeQ(t *testing.T) {
 	c := smallCode(t)
 	p := highSpeedParams()
-	a, err := NewDecoder(c, p)
+	a, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDecoder(c, p)
+	defer a.Close()
+	b, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	for _, nf := range []int{1, 3, Lanes} {
 		qs := make([][]int16, nf)
 		for f := range qs {
@@ -52,7 +55,7 @@ func TestDecodeQIntoMatchesDecodeQ(t *testing.T) {
 			if owned[f] != nil && res[f].Bits != owned[f] {
 				t.Errorf("nf=%d frame %d: caller-owned vector replaced", nf, f)
 			}
-			for g := 0; g < Lanes; g++ {
+			for g := range b.hard {
 				if res[f].Bits == b.hard[g] {
 					t.Errorf("nf=%d frame %d: result aliases decoder scratch", nf, f)
 				}
@@ -63,10 +66,11 @@ func TestDecodeQIntoMatchesDecodeQ(t *testing.T) {
 
 func TestDecodeQIntoValidation(t *testing.T) {
 	c := smallCode(t)
-	d, err := NewDecoder(c, highSpeedParams())
+	d, err := NewParallel(c, highSpeedParams(), ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	q := noisyQ(t, c, d.Params().Format, 3.0, 7)
 	if err := d.DecodeQInto(make([]ldpc.Result, 2), [][]int16{q}); err == nil {
 		t.Error("mismatched res length accepted")
@@ -80,23 +84,25 @@ func TestDecodeQIntoValidation(t *testing.T) {
 	}
 }
 
-// TestDecodeQIntoZeroAlloc verifies the hot path a worker pool relies
-// on: with caller-provided vectors, a decode allocates nothing.
+// TestDecodeQIntoZeroAlloc verifies the hot path a serve worker relies
+// on: with caller-provided vectors, a single-word decode allocates
+// nothing.
 func TestDecodeQIntoZeroAlloc(t *testing.T) {
 	skipUnderFuzzEngine(t)
 	c := smallCode(t)
 	p := highSpeedParams()
-	d, err := NewDecoder(c, p)
+	d, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	qs := make([][]int16, Lanes)
 	res := make([]ldpc.Result, Lanes)
 	for f := range qs {
 		qs[f] = noisyQ(t, c, p.Format, 3.0, uint64(f))
 		res[f].Bits = bitvec.New(c.N)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs := bestAllocs(func() {
 		if err := d.DecodeQInto(res, qs); err != nil {
 			t.Fatal(err)
 		}
@@ -109,14 +115,16 @@ func TestDecodeQIntoZeroAlloc(t *testing.T) {
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	c := smallCode(t)
 	p := highSpeedParams()
-	a, err := NewDecoder(c, p)
+	a, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDecoder(c, p)
+	defer a.Close()
+	b, err := NewParallel(c, p, ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	llrs := make([][]float64, 3)
 	for f := range llrs {
 		q := noisyQ(t, c, p.Format, 3.0, uint64(40+f))

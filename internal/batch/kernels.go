@@ -1,22 +1,24 @@
 package batch
 
-import "ccsdsldpc/internal/ldpc"
+import (
+	"ccsdsldpc/internal/fixed"
+	"ccsdsldpc/internal/ldpc"
+)
 
-// This file holds the strip-generic decode kernels shared by Decoder
-// (instantiated at [1]uint64) and Parallel (instantiated at the
-// configured LaneWidth). Each kernel advances whole strips of packed
-// words per graph step; the arithmetic per (word, node) is exactly the
-// single-word SWAR loop body, so every lane stays bit-compatible with
-// internal/fixed regardless of strip width.
+// This file holds the strip-generic decode kernels Parallel
+// instantiates at its configured LaneWidth. Each kernel advances whole
+// strips of packed words per graph step; the arithmetic per (word,
+// node) is exactly the single-word SWAR loop body, so every lane stays
+// bit-compatible with internal/fixed regardless of strip width.
 
-// stripState is the decoder state a strip kernel operates on. Both
-// Decoder and Parallel embed one; the kernels are free functions over
-// it so a single generic body serves every decoder shape.
+// stripState is the decoder state a strip kernel operates on. Parallel
+// embeds one; the kernels are free functions over it so a single
+// generic body serves every strip width.
 type stripState struct {
 	g *ldpc.Graph
 
-	// tw is the bank stride: the packed words of edge e (or bit node j)
-	// occupy [e*tw, e*tw+tw). nsw is the number of live words this
+	// tw is the bank stride: each edge (or bit node) owns tw
+	// consecutive packed words. nsw is the number of live words this
 	// decode, rounded up to a whole number of strips; padding words in
 	// [nw, nsw) are fully frozen from the start and never observed.
 	tw  int
@@ -30,11 +32,11 @@ type stripState struct {
 	// done[w] holds 0xFF in every frozen lane of word w.
 	done []uint64
 
-	// Blocked-kernel offset tables (nil on the indexed path). The
-	// packed words of canonical edge e live at [cnOff[e], cnOff[e]+tw)
-	// — the run-major slot of ldpc.QCLayout times tw — instead of
-	// [e·tw, e·tw+tw). The adjacency is flattened CSR-style with the
-	// word offsets precomputed, hoisting every e·tw multiply out of the
+	// Offset tables of the circulant-run layout. The packed words of
+	// canonical edge e live at [cnOff[e], cnOff[e]+tw) — the run-major
+	// slot of ldpc.QCLayout times tw, or e·tw on a graph without a
+	// circulant table. The adjacency is flattened CSR-style with the
+	// word offsets precomputed, hoisting every multiply out of the
 	// inner loops:
 	//
 	//	cnOff[e]  message words of canonical edge e (check-order walk)
@@ -44,39 +46,63 @@ type stripState struct {
 	bnOff []int32
 	vnOff []int32
 
-	// Precomputed lane constants (see Decoder).
+	// Precomputed lane constants of the scale and the format range.
 	num       uint64
 	shift     uint
 	shiftMask uint64
 	maxVec    uint64
-	negMaxVec uint64
 }
 
-// buildBlockedOffsets fills the blocked offset tables from the graph's
-// circulant run layout. Storing edge messages at Perm[e] makes both
-// graph walks advance a handful of sequential streams — one per
+// newStripState allocates the packed message state and the offset
+// tables for tw words per bank index.
+//
+// Storing edge messages at their circulant-run slot QC.Perm[e] makes
+// both graph walks advance a handful of sequential streams — one per
 // circulant run of the block row (CN) or column block (BN) — instead
 // of gathering at a ~rowweight·tw-word stride, while every kernel
 // still visits edges in the canonical order, so the arithmetic (and
 // with it every rounding, saturation and min tie-break) is untouched.
-func (st *stripState) buildBlockedOffsets() {
-	g, tw := st.g, int32(st.tw)
-	perm := g.QC.Perm
-	st.cnOff = make([]int32, g.E)
-	st.vnOff = make([]int32, g.E)
-	st.bnOff = make([]int32, g.E)
+// A graph without a circulant table gets the identity layout: slot e
+// for edge e, through the same tables.
+func newStripState(g *ldpc.Graph, p fixed.Params, tw int) stripState {
+	st := stripState{
+		g:         g,
+		tw:        tw,
+		qw:        make([]uint64, g.N*tw),
+		vcw:       make([]uint64, g.E*tw),
+		cvw:       make([]uint64, g.E*tw),
+		postw:     make([]uint64, g.N*tw),
+		done:      make([]uint64, tw),
+		cnOff:     make([]int32, g.E),
+		bnOff:     make([]int32, g.E),
+		vnOff:     make([]int32, g.E),
+		num:       uint64(p.Scale.Num),
+		shift:     uint(p.Scale.Shift),
+		shiftMask: broadcast8(0xFF >> uint(p.Scale.Shift)),
+		maxVec:    broadcast8(uint8(p.Format.Max())),
+	}
+	var perm []int32
+	if g.QC != nil {
+		perm = g.QC.Perm
+	}
+	w := int32(tw)
 	for e := range st.cnOff {
-		st.cnOff[e] = perm[e] * tw
-		st.vnOff[e] = g.EdgeVN[e] * tw
+		slot := int32(e)
+		if perm != nil {
+			slot = perm[e]
+		}
+		st.cnOff[e] = slot * w
+		st.vnOff[e] = g.EdgeVN[e] * w
 	}
 	for kk, e := range g.VNEdges {
-		st.bnOff[kk] = perm[e] * tw
+		st.bnOff[kk] = st.cnOff[e]
 	}
+	return st
 }
 
-// stripKernels binds one strip width's kernel instantiations — indexed
-// or blocked — chosen once at decoder construction so the decode loop
-// pays a plain indirect call instead of a per-phase switch.
+// stripKernels binds one strip width's kernel instantiations, chosen
+// once at decoder construction so the decode loop pays a plain
+// indirect call instead of a per-phase switch.
 type stripKernels struct {
 	init  func(st *stripState, elo, ehi int)
 	cn    func(st *stripState, ilo, ihi int)
@@ -84,239 +110,49 @@ type stripKernels struct {
 	unsat func(st *stripState, ilo, ihi int, out []uint64)
 }
 
-func bindKernels[S strip](k Kernel) stripKernels {
-	if k == KernelBlocked {
-		return stripKernels{init: initBlockedEdges, cn: cnBlockedStrips[S], bn: bnBlockedStrips[S], unsat: unsatBlockedStrips[S]}
-	}
-	return stripKernels{init: initEdges, cn: cnStrips[S], bn: bnStrips[S], unsat: unsatStrips[S]}
+func bindKernels[S strip]() stripKernels {
+	return stripKernels{init: initBlockedEdges, cn: cnBlockedStrips[S], bn: bnBlockedStrips[S], unsat: unsatBlockedStrips[S]}
 }
 
-// kernelsFor returns the kernel set for a validated lane width and a
-// resolved kernel choice.
+// kernelsFor returns the kernel set for a validated lane width.
 //
 // Width 8 deliberately binds the [4]uint64 instantiation: the kernels
 // only see tw and nsw, and an nsw rounded to 8 words is also a whole
 // number of 4-word strips, so the two instantiations compute the
-// identical result — but the [8]uint64 body keeps ~5 eight-word
-// accumulators live and spills on machines without 32 wide registers,
-// measuring 2–7% *slower* than [4]uint64 over the same words. The
-// 8-word layout (512-frame capacity) is kept; only the register
-// footprint of the inner loop is halved.
-func kernelsFor(w int, k Kernel) stripKernels {
+// identical result. The [8]uint64 body keeps ~5 eight-word
+// accumulators live and can spill on machines without 32 wide
+// registers; the two bindings measure within noise of each other
+// (EXPERIMENTS.md § E-wide), so the smaller register footprint stays.
+// The 8-word layout (512-frame capacity) is kept either way.
+func kernelsFor(w int) stripKernels {
 	switch w {
 	case 1:
-		return bindKernels[[1]uint64](k)
+		return bindKernels[[1]uint64]()
 	case 2:
-		return bindKernels[[2]uint64](k)
+		return bindKernels[[2]uint64]()
 	case 4, 8:
-		return bindKernels[[4]uint64](k)
+		return bindKernels[[4]uint64]()
 	}
 	// Construction validates via ValidLaneWidth; unreachable after that.
 	panic("batch: unsupported lane width")
 }
 
-// initEdges seeds vc with the channel words and clears cv on an edge
-// range. It covers the padding words too, so every decode starts dead
-// words from legitimate in-range message values (their results are
-// masked everywhere observable, but the SWAR preconditions — no −128
-// lanes — must hold even for lanes nobody reads).
-func initEdges(st *stripState, elo, ehi int) {
-	g, tw, nsw := st.g, st.tw, st.nsw
-	qw, vcw, cvw := st.qw, st.vcw, st.cvw
-	for e := elo; e < ehi; e++ {
-		jb := int(g.EdgeVN[e]) * tw
-		eb := e * tw
-		for w := 0; w < nsw; w++ {
-			vcw[eb+w] = qw[jb+w]
-			cvw[eb+w] = 0
-		}
-	}
-}
-
-// cnStrips runs the packed check-node update (paper equation (2)) on a
-// check-node range, one strip of words at a time: per lane, the sign
-// product and scaled min of the other inputs via the min1/min2 trick.
-// The strip length is a compile-time constant per instantiation, so the
-// per-word loops unroll. A strip whose lanes are all frozen is skipped;
-// frozen lanes inside a live strip keep their previous messages through
-// the done-mask blend, freezing the whole lane trajectory exactly like
-// the single-word decoder.
-func cnStrips[S strip](st *stripState, ilo, ihi int) {
-	g, tw, nsw := st.g, st.tw, st.nsw
-	vcw, cvw, done := st.vcw, st.cvw, st.done
-	num, shift, shiftMask := st.num, st.shift, st.shiftMask
-	K := stripLen[S]()
-	for i := ilo; i < ihi; i++ {
-		lo, hi := int(g.CNOff[i]), int(g.CNOff[i+1])
-		for sb := 0; sb < nsw; sb += K {
-			var dn S
-			frozen := ^uint64(0)
-			for k := 0; k < K; k++ {
-				dn[k] = done[sb+k]
-				frozen &= dn[k]
-			}
-			if frozen == ^uint64(0) {
-				continue
-			}
-			// Pass 1: per-lane sign parity, min1, min2 and min1's position.
-			var signAcc, minIdx, min1, min2 S
-			for k := 0; k < K; k++ {
-				min1[k] = ^laneMSB // +127 in every lane: above any magnitude
-				min2[k] = ^laneMSB
-			}
-			idx := uint64(0)
-			for e := lo; e < hi; e++ {
-				base := e*tw + sb
-				for k := 0; k < K; k++ {
-					x := vcw[base+k]
-					signAcc[k] ^= x & laneMSB
-					m := abs8(x)
-					lt1 := ltMask8(m, min1[k])
-					min2[k] = blend8(min8(min2[k], m), min1[k], lt1)
-					minIdx[k] = blend8(minIdx[k], idx, lt1)
-					min1[k] = blend8(min1[k], m, lt1)
-				}
-				idx += laneLSB
-			}
-			// Pass 2: each edge outputs min1 — or min2 in the lanes where
-			// this edge is the minimum — scaled by Num/2^Shift, with the
-			// extrinsic sign.
-			idx = 0
-			for e := lo; e < hi; e++ {
-				base := e*tw + sb
-				for k := 0; k < K; k++ {
-					x := vcw[base+k]
-					eq := eqMask8(minIdx[k], idx)
-					m := blend8(min1[k], min2[k], eq)
-					v := m * num >> shift & shiftMask
-					sf := boolMask8(signAcc[k] ^ x)
-					out := sub8(v^sf, sf)
-					if dn[k] != 0 {
-						out = blend8(out, cvw[base+k], dn[k])
-					}
-					cvw[base+k] = out
-				}
-				idx += laneLSB
-			}
-		}
-	}
-}
-
-// bnStrips runs the packed bit-node update (paper equation (3)) on a
-// bit-node range, strip-wise: the posterior is the channel word plus
-// all incoming messages; each outgoing message is the posterior minus
-// the edge's own input, saturated into the format range. Recomputing a
-// frozen word inside a live strip is idempotent (its cv and channel
-// words are frozen), so only fully frozen strips are skipped.
-func bnStrips[S strip](st *stripState, jlo, jhi int) {
-	g, tw, nsw := st.g, st.tw, st.nsw
-	vcw, cvw, postw, qw, done := st.vcw, st.cvw, st.postw, st.qw, st.done
-	maxVec, negMaxVec := st.maxVec, st.negMaxVec
-	K := stripLen[S]()
-	for j := jlo; j < jhi; j++ {
-		klo, khi := int(g.VNOff[j]), int(g.VNOff[j+1])
-		for sb := 0; sb < nsw; sb += K {
-			frozen := ^uint64(0)
-			for k := 0; k < K; k++ {
-				frozen &= done[sb+k]
-			}
-			if frozen == ^uint64(0) {
-				continue
-			}
-			jb := j*tw + sb
-			var post S
-			for k := 0; k < K; k++ {
-				post[k] = qw[jb+k]
-			}
-			for kk := klo; kk < khi; kk++ {
-				eb := int(g.VNEdges[kk])*tw + sb
-				for k := 0; k < K; k++ {
-					post[k] = add8(post[k], cvw[eb+k])
-				}
-			}
-			for k := 0; k < K; k++ {
-				postw[jb+k] = post[k]
-			}
-			for kk := klo; kk < khi; kk++ {
-				eb := int(g.VNEdges[kk])*tw + sb
-				for k := 0; k < K; k++ {
-					x := sub8(post[k], cvw[eb+k])
-					x = blend8(x, maxVec, ltMask8(maxVec, x))
-					x = blend8(x, negMaxVec, ltMask8(x, negMaxVec))
-					vcw[eb+k] = x
-				}
-			}
-		}
-	}
-}
-
-// unsatStrips evaluates the parity checks of a check-node range on the
-// packed posterior signs, accumulating per-word syndrome MSBs into
-// out[w]. A strip exits the node loop early once every word in it is
-// decided — each live lane known unsatisfied or frozen. The syndrome
-// accumulator is OR-monotone and frozen lanes are masked downstream, so
-// the early exit is observably identical to the per-word exit of the
-// single-word decoder.
-func unsatStrips[S strip](st *stripState, ilo, ihi int, out []uint64) {
-	g, tw, nsw := st.g, st.tw, st.nsw
-	postw, done := st.postw, st.done
-	K := stripLen[S]()
-	for w := 0; w < nsw; w++ {
-		out[w] = 0
-	}
-	for sb := 0; sb < nsw; sb += K {
-		var dn S
-		frozen := ^uint64(0)
-		for k := 0; k < K; k++ {
-			dn[k] = done[sb+k] & laneMSB
-			frozen &= done[sb+k]
-		}
-		if frozen == ^uint64(0) {
-			continue
-		}
-		var acc S
-		for i := ilo; i < ihi; i++ {
-			var par S
-			for e := int(g.CNOff[i]); e < int(g.CNOff[i+1]); e++ {
-				base := int(g.EdgeVN[e])*tw + sb
-				for k := 0; k < K; k++ {
-					par[k] ^= postw[base+k]
-				}
-			}
-			decided := true
-			for k := 0; k < K; k++ {
-				acc[k] |= par[k] & laneMSB
-				if acc[k]|dn[k] != laneMSB {
-					decided = false
-				}
-			}
-			if decided {
-				break
-			}
-		}
-		for k := 0; k < K; k++ {
-			out[sb+k] = acc[k]
-		}
-	}
-}
-
 // --- blocked (circulant-run) kernels ----------------------------------
 //
-// The blocked kernels are the rewrite of the indexed kernels for
-// quasi-cyclic graphs. They visit edges in the identical canonical
-// order and produce identical lane values at every step of every
-// iteration — the bit-exactness contract with internal/fixed — but
-// differ in three compounding ways:
+// The kernels visit edges in the canonical order of ldpc.Graph and
+// produce, at every step of every iteration, the lane values of the
+// scalar min-sum recurrence in internal/fixed — the bit-exactness
+// contract — while shaping the memory traffic and the lane arithmetic
+// in three compounding ways:
 //
 //  1. Layout: edge e's words live at cnOff[e] (its circulant-run slot
-//     of ldpc.QCLayout times tw) instead of e·tw, found via one
-//     precomputed int32 load instead of an index gather plus multiply.
-//     Run-major storage keeps the B edges of a circulant shift
-//     consecutive, so the check-node walk advances one sequential
-//     stream per run of the block row and the bit-node walk one stream
-//     per run of the column block (one wrap at the cyclic shift) —
-//     where the indexed bit-node walk gathers at a ~rowweight·tw-word
-//     stride.
+//     of ldpc.QCLayout times tw), found via one precomputed int32 load
+//     instead of an index gather plus multiply. Run-major storage
+//     keeps the B edges of a circulant shift consecutive, so the
+//     check-node walk advances one sequential stream per run of the
+//     block row and the bit-node walk one stream per run of the column
+//     block (one wrap at the cyclic shift), where canonical storage
+//     would gather at a ~rowweight·tw-word stride.
 //  2. Bounds checks: the re-slice-to-strip pattern (`x[base:][:K]`,
 //     with K a per-instantiation constant) pays one slice check per
 //     edge strip and makes every per-word load and store inside
@@ -331,9 +167,13 @@ func unsatStrips[S strip](st *stripState, ilo, ihi int, out []uint64) {
 //     preserve exact lane values, so the freeze masks, iteration
 //     counts and fault-injection trajectories stay identical.
 
-// initBlockedEdges is initEdges on the blocked layout: the same edge
-// range, with both the channel source and the message destination
-// found through the offset tables.
+// initBlockedEdges seeds vc with the channel words and clears cv on an
+// edge range, finding both the channel source and the message
+// destination through the offset tables. It covers the padding words
+// too, so every decode starts dead words from legitimate in-range
+// message values (their results are masked everywhere observable, but
+// the SWAR preconditions — no −128 lanes — must hold even for lanes
+// nobody reads).
 func initBlockedEdges(st *stripState, elo, ehi int) {
 	nsw := st.nsw
 	qw, vcw, cvw := st.qw, st.vcw, st.cvw
@@ -349,18 +189,22 @@ func initBlockedEdges(st *stripState, elo, ehi int) {
 	}
 }
 
-// cnBlockedStrips is the blocked check-node update. The edges of check
-// i stay the canonical contiguous range [CNOff[i], CNOff[i+1]); their
-// message words are found through cnOff, advancing one sequential
-// stream per circulant run of the block row.
+// cnBlockedStrips runs the packed check-node update (paper equation
+// (2)) on a check-node range, one strip of words at a time: per lane,
+// the sign product and scaled min of the other inputs via the
+// min1/min2 trick. The edges of check i stay the canonical contiguous
+// range [CNOff[i], CNOff[i+1]); their message words are found through
+// cnOff, advancing one sequential stream per circulant run of the
+// block row. A strip whose lanes are all frozen is skipped; frozen
+// lanes inside a live strip keep their previous messages through the
+// done-mask blend, which freezes the whole lane trajectory (the
+// bit-node pass is a pure function of cv and the channel word).
 //
-// The min1/min2 recurrence tracks the strict minimum exactly like the
-// indexed kernel — lt is a strict compare, so the first edge attaining
-// the minimum keeps minIdx — with the update reshaped around a single
-// compare per edge word: the round's loser (the larger of m and the
-// old min1) is what competes for min2, which is the same value the
-// indexed kernel's blend chain computes because min1 ≤ min2 holds
-// inductively.
+// The min1/min2 recurrence tracks the strict minimum — lt is a strict
+// compare, so the first edge attaining the minimum keeps minIdx, as in
+// internal/fixed — around a single compare per edge word: the round's
+// loser (the larger of m and the old min1) is what competes for min2,
+// which equals min(min2, m) because min1 ≤ min2 holds inductively.
 func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
 	g, nsw := st.g, st.nsw
 	vcw, cvw, done := st.vcw, st.cvw, st.done
@@ -457,16 +301,19 @@ func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
 	}
 }
 
-// bnBlockedStrips is the blocked bit-node update: the incident edges
-// of bit node j stay the canonical VNOff range, with the message words
-// found through bnOff — one sequential stream per circulant run of j's
-// column block, where the indexed kernel gathers VNEdges[kk]·tw. The
-// format-range saturation runs in sign-magnitude form — split off the
-// sign, cap the magnitude with the cheap bit-7-clear minimum, reapply
-// the sign — which is lane-for-lane the value the indexed kernel's
-// two-sided blend clamp produces (both are clamp(x, −Max, +Max), and
-// the posterior sums cannot reach −128 by the validatePacked headroom
-// bound).
+// bnBlockedStrips runs the packed bit-node update (paper equation (3))
+// on a bit-node range, strip-wise: the posterior is the channel word
+// plus all incoming messages; each outgoing message is the posterior
+// minus the edge's own input, saturated into the format range. The
+// incident edges of bit node j stay the canonical VNOff range, with
+// the message words found through bnOff — one sequential stream per
+// circulant run of j's column block. The saturation runs in
+// sign-magnitude form — split off the sign, cap the magnitude with the
+// cheap bit-7-clear minimum, reapply the sign — which is lane-for-lane
+// clamp(x, −Max, +Max), since the posterior sums cannot reach −128 by
+// the validatePacked headroom bound. Recomputing a frozen word inside
+// a live strip is idempotent (its cv and channel words are frozen), so
+// only fully frozen strips are skipped.
 func bnBlockedStrips[S strip](st *stripState, jlo, jhi int) {
 	g, tw, nsw := st.g, st.tw, st.nsw
 	vcw, cvw, postw, qw, done := st.vcw, st.cvw, st.postw, st.qw, st.done
@@ -516,10 +363,14 @@ func bnBlockedStrips[S strip](st *stripState, jlo, jhi int) {
 	}
 }
 
-// unsatBlockedStrips is unsatStrips with the posterior base offsets
-// precomputed in vnOff (the posterior layout itself is unchanged —
-// per bit node, stride tw — so only the EdgeVN gather and multiply
-// are hoisted).
+// unsatBlockedStrips evaluates the parity checks of a check-node range
+// on the packed posterior signs, accumulating per-word syndrome MSBs
+// into out[w]. The posteriors stay per bit node at stride tw, with
+// their base offsets precomputed in vnOff. A strip exits the node loop
+// early once every word in it is decided — each live lane known
+// unsatisfied or frozen; the syndrome accumulator is OR-monotone and
+// frozen lanes are masked downstream, so the early exit is observably
+// identical to evaluating every check.
 func unsatBlockedStrips[S strip](st *stripState, ilo, ihi int, out []uint64) {
 	g, nsw := st.g, st.nsw
 	postw, done := st.postw, st.done

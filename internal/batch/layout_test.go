@@ -1,5 +1,6 @@
-// Kernel A/B bit-exactness: the blocked (circulant-run) kernels must
-// produce byte-for-byte the results of the indexed kernels on every
+// Layout A/B bit-exactness: the circulant-run ("blocked") message
+// layout must produce byte-for-byte the results of the identity
+// ("indexed") layout, which stores canonical edge e at slot e, on every
 // registry code — same hard decisions, iteration counts and convergence
 // flags for the same frames. The package is external so it can reach
 // the registry (which itself builds on batch).
@@ -51,18 +52,18 @@ func TestBlockedMatchesIndexedRegistry(t *testing.T) {
 		if g.QC == nil {
 			t.Fatalf("%s: no QC layout, nothing to A/B", name)
 		}
+		bare := *g
+		bare.QC = nil
 		for gi, geom := range geoms {
 			t.Run(fmt.Sprintf("%s/S%dW%dL%d", name, geom.Shards, geom.SuperBatch, geom.LaneWidth), func(t *testing.T) {
-				decode := func(kern batch.Kernel) []ldpc.Result {
-					cfg := geom
-					cfg.Kernel = kern
-					d, err := batch.NewParallelGraph(g, p, cfg)
+				decode := func(g *ldpc.Graph, identity bool) []ldpc.Result {
+					d, err := batch.NewParallelGraph(g, p, geom)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer d.Close()
-					if got := d.Kernel(); got != kern {
-						t.Fatalf("decoder resolved kernel %v, want %v", got, kern)
+					if got := batch.IdentityLayout(d); got != identity {
+						t.Fatalf("identity layout %v, want %v", got, identity)
 					}
 					nf := d.Capacity()
 					qs := abFrames(nf, g.N, int(p.Format.Max()), uint64(1000*gi+1))
@@ -75,8 +76,8 @@ func TestBlockedMatchesIndexedRegistry(t *testing.T) {
 					}
 					return res
 				}
-				ind := decode(batch.KernelIndexed)
-				blk := decode(batch.KernelBlocked)
+				ind := decode(&bare, true)
+				blk := decode(g, false)
 				for f := range ind {
 					if !ind[f].Bits.Equal(blk[f].Bits) {
 						t.Fatalf("frame %d: hard decisions diverge", f)
@@ -88,41 +89,5 @@ func TestBlockedMatchesIndexedRegistry(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestKernelAutoResolution pins what Auto means: blocked on QC graphs,
-// indexed on graphs without a circulant layout.
-func TestKernelAutoResolution(t *testing.T) {
-	e, _ := registry.Default().ByName("c2")
-	built, err := e.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ldpc.NewGraph(built.Code)
-	p := fixed.DefaultHighSpeedParams()
-	d, err := batch.NewParallelGraph(g, p, batch.ParallelConfig{Shards: 1, SuperBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Kernel(); got != batch.KernelBlocked {
-		t.Fatalf("auto on QC graph resolved %v, want blocked", got)
-	}
-	d.Close()
-
-	bare := *g
-	bare.QC = nil
-	d, err = batch.NewParallelGraph(&bare, p, batch.ParallelConfig{Shards: 1, SuperBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Kernel(); got != batch.KernelIndexed {
-		t.Fatalf("auto without QC resolved %v, want indexed", got)
-	}
-	d.Close()
-
-	// Forcing blocked on a non-QC graph must fail loudly, not fall back.
-	if _, err := batch.NewParallelGraph(&bare, p, batch.ParallelConfig{Shards: 1, SuperBatch: 1, Kernel: batch.KernelBlocked}); err == nil {
-		t.Fatal("blocked kernel on a non-QC graph did not error")
 	}
 }

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"ccsdsldpc/internal/bitvec"
@@ -47,16 +48,13 @@ const MaxFrames = MaxSuperBatch * MaxLaneWidth * Lanes
 // CN/BN units per clock, this decoder scales it along three axes:
 // Shards plays the role of the parallelism degree of the processing
 // block, LaneWidth the width of one processing unit's datapath, and
-// SuperBatch the depth of the frame buffer feeding it.
-// Kernel selects the message memory layout (see the Kernel type):
-// KernelAuto (the zero value) runs the blocked circulant-run kernels
-// on quasi-cyclic graphs and the indexed kernels otherwise; both are
-// bit-exact against each other and against fixed.Decoder.
+// SuperBatch the depth of the frame buffer feeding it. The zero value
+// {1, 1, 1} is the paper's high-speed decoder: 8 frames per memory
+// word, one word per decode call, one goroutine.
 type ParallelConfig struct {
-	Shards     int    // phase worker goroutines (default 1)
-	SuperBatch int    // strips per decode call (default 1)
-	LaneWidth  int    // packed words per strip: 1, 2, 4 or 8 (default 1)
-	Kernel     Kernel // kernel layout (default KernelAuto)
+	Shards     int // phase worker goroutines (default 1)
+	SuperBatch int // strips per decode call (default 1)
+	LaneWidth  int // packed words per strip: 1, 2, 4 or 8 (default 1)
 }
 
 func (cfg *ParallelConfig) setDefaults() error {
@@ -84,17 +82,20 @@ func (cfg *ParallelConfig) setDefaults() error {
 // words returns the packed words per decode call (the bank stride).
 func (cfg ParallelConfig) words() int { return cfg.SuperBatch * cfg.LaneWidth }
 
-// Parallel is the multi-core sharded super-batch decoder: the packed
-// SWAR datapath of Decoder, scaled across ParallelConfig.Shards worker
-// goroutines inside a single decode call and across
-// ParallelConfig.SuperBatch packed words per call.
+// Parallel is the frame-packed quantized normalized min-sum decoder:
+// up to Capacity independent frames are decoded per call, their
+// messages stored as int8 lanes of shared uint64 words, scaled across
+// ParallelConfig.Shards worker goroutines inside a single decode call
+// and across SuperBatch × LaneWidth packed words per call. One pass
+// over the Tanner graph advances all lanes at once; lanes never
+// interact.
 //
-// Every lane of every word is bit-compatible with fixed.Decoder (and
-// therefore with Decoder): identical hard decisions, iteration counts
-// and convergence flags for any (Shards, SuperBatch) — the sharded
-// phases partition their write sets by node, all additions are
-// associative lane-wise two's-complement sums, and per-word early-stop
-// bookkeeping mirrors the single-word decoder exactly.
+// Every lane of every word is bit-compatible with fixed.Decoder
+// configured with the same Params: identical hard decisions, iteration
+// counts and convergence flags for any geometry — the sharded phases
+// partition their write sets by node, all additions are associative
+// lane-wise two's-complement sums, and per-word early-stop bookkeeping
+// freezes a lane exactly when the scalar decoder stops iterating.
 //
 // A Parallel is not safe for concurrent use (one decode at a time);
 // its shard goroutines are spawned once at construction and reused,
@@ -106,13 +107,12 @@ type Parallel struct {
 	cfg ParallelConfig
 
 	// st holds the packed state, bank-major: the tw = SuperBatch ×
-	// LaneWidth words of edge e (or bit node j) are consecutive at
-	// [e*tw : e*tw+tw) — or at the circulant-run slot times tw under the
-	// blocked kernels. kern is the strip-kernel set bound to
-	// (cfg.LaneWidth, kind) at construction.
+	// LaneWidth words of edge e are consecutive at its layout slot
+	// times tw (see stripState.cnOff), those of bit node j at
+	// [j*tw : j*tw+tw). kern is the strip-kernel set bound to
+	// cfg.LaneWidth at construction.
 	st   stripState
 	kern stripKernels
-	kind Kernel
 
 	// Deterministic shard partitions: shard s owns check nodes
 	// [cnLo[s], cnHi[s]) and bit nodes [vnLo[s], vnHi[s]), both
@@ -152,38 +152,35 @@ func NewParallel(c *code.Code, p fixed.Params, cfg ParallelConfig) (*Parallel, e
 }
 
 // NewParallelGraph builds a sharded super-batch decoder over a shared
-// graph. The format constraints are those of NewDecoderGraph.
+// graph. The format must be narrow enough for the int8 lanes: every
+// bit-node sum (degree+2 terms of magnitude ≤ Max) must fit in int8,
+// and scaled magnitudes must fit in a byte. The paper's high-speed
+// Q(5,1) format on the column-weight-4 CCSDS code satisfies both; the
+// low-cost Q(6,2) format does not (which is exactly why the paper's
+// high-speed decoder narrows its messages to 5 bits before packing 8
+// per word).
 func NewParallelGraph(g *ldpc.Graph, p fixed.Params, cfg ParallelConfig) (*Parallel, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	if err := validatePacked(g, p); err != nil {
-		return nil, err
-	}
 	tw := cfg.words()
-	kind, err := resolveKernel(g, tw, cfg.Kernel)
-	if err != nil {
+	if err := validatePacked(g, p, tw); err != nil {
 		return nil, err
 	}
 	d := &Parallel{
 		g: g, p: p, cfg: cfg,
-		kern:  kernelsFor(cfg.LaneWidth, kind),
-		kind:  kind,
+		st:    newStripState(g, p, tw),
+		kern:  kernelsFor(cfg.LaneWidth),
 		hard:  make([]*bitvec.Vector, tw*Lanes),
 		q16:   make([]int16, g.N),
 		iters: make([]int, tw*Lanes),
 		conv:  make([]bool, tw*Lanes),
 	}
-	d.st = newStripState(g, p, tw, tw)
-	d.st.done = make([]uint64, tw)
-	if kind == KernelBlocked {
-		d.st.buildBlockedOffsets()
-	}
 	for f := range d.hard {
 		d.hard[f] = bitvec.New(g.N)
 	}
-	d.cnLo, d.cnHi = partitionByEdges(cfg.Shards, g.M, func(i int) int { return g.CNDegree(i) })
-	d.vnLo, d.vnHi = partitionByEdges(cfg.Shards, g.N, func(j int) int { return g.VNDegree(j) })
+	d.cnLo, d.cnHi = partitionByEdges(cfg.Shards, g.M, g.E, func(i int) int { return g.CNDegree(i) })
+	d.vnLo, d.vnHi = partitionByEdges(cfg.Shards, g.N, g.E, func(j int) int { return g.VNDegree(j) })
 	d.unsat = make([][]uint64, cfg.Shards)
 	for s := range d.unsat {
 		d.unsat[s] = make([]uint64, tw)
@@ -192,40 +189,82 @@ func NewParallelGraph(g *ldpc.Graph, p fixed.Params, cfg ParallelConfig) (*Paral
 	return d, nil
 }
 
-// partitionByEdges splits nodes [0,n) into shards contiguous ranges
-// whose edge counts are as balanced as a greedy prefix walk allows.
-// The boundaries depend only on (degree profile, shards), never on
-// runtime scheduling, so the partition — and with it every rounding
-// and saturation — is deterministic. Shards beyond n come out empty.
-func partitionByEdges(shards, n int, degree func(int) int) (lo, hi []int32) {
+// validatePacked checks, before anything is allocated, that a graph
+// and format fit the int8-lane packed datapath and that the word
+// offsets of tw words per edge fit the int32 offset tables.
+func validatePacked(g *ldpc.Graph, p fixed.Params, tw int) error {
+	if err := p.Format.Validate(); err != nil {
+		return err
+	}
+	if err := p.Scale.Validate(); err != nil {
+		return err
+	}
+	if p.MaxIterations < 1 {
+		return fmt.Errorf("batch: MaxIterations %d < 1", p.MaxIterations)
+	}
+	if int64(g.E)*int64(tw) > math.MaxInt32 {
+		return fmt.Errorf("batch: word offsets overflow int32 (%d edges × %d words)", g.E, tw)
+	}
+	maxVN, maxCN, minCN := 0, 0, g.E+1
+	for i := 0; i < g.M; i++ {
+		dcn := g.CNDegree(i)
+		if dcn > maxCN {
+			maxCN = dcn
+		}
+		if dcn < minCN {
+			minCN = dcn
+		}
+	}
+	for j := 0; j < g.N; j++ {
+		if d := g.VNDegree(j); d > maxVN {
+			maxVN = d
+		}
+	}
+	max := int(p.Format.Max())
+	if (maxVN+2)*max > 127 {
+		return fmt.Errorf("batch: %s with column weight %d overflows int8 lanes ((%d+2)×%d > 127); use a ≤5-bit format",
+			p.Format, maxVN, maxVN, max)
+	}
+	if max*p.Scale.Num > 255 {
+		return fmt.Errorf("batch: scale %s overflows a lane product (%d×%d > 255)", p.Scale, max, p.Scale.Num)
+	}
+	if maxCN > 127 {
+		return fmt.Errorf("batch: check degree %d exceeds the 127-edge lane index range", maxCN)
+	}
+	if minCN < 2 {
+		return fmt.Errorf("batch: degree-%d check node; packed min1/min2 needs degree ≥ 2", minCN)
+	}
+	return nil
+}
+
+// partitionByEdges splits nodes [0,n), whose degrees sum to total,
+// into shards contiguous ranges whose edge counts are as balanced as a
+// greedy prefix walk allows. The boundaries depend only on (degree
+// profile, shards), never on runtime scheduling, so the partition — and
+// with it every rounding and saturation — is deterministic. Shards
+// beyond n come out empty; the last shard takes whatever remains, so a
+// single shard costs no walk at all.
+func partitionByEdges(shards, n, total int, degree func(int) int) (lo, hi []int32) {
 	lo = make([]int32, shards)
 	hi = make([]int32, shards)
-	total := 0
-	for i := 0; i < n; i++ {
-		total += degree(i)
-	}
 	node, acc := 0, 0
-	for s := 0; s < shards; s++ {
+	for s := 0; s < shards-1; s++ {
 		lo[s] = int32(node)
 		// Edge budget through the end of this shard.
 		budget := (total * (s + 1)) / shards
-		for node < n && (acc < budget || s == shards-1) {
+		for node < n && acc < budget {
 			acc += degree(node)
 			node++
 		}
 		hi[s] = int32(node)
 	}
-	hi[shards-1] = int32(n)
+	lo[shards-1], hi[shards-1] = int32(node), int32(n)
 	return lo, hi
 }
 
 // Config returns the shard/super-batch configuration (defaults
 // resolved).
 func (d *Parallel) Config() ParallelConfig { return d.cfg }
-
-// Kernel returns the resolved kernel the decoder runs (never
-// KernelAuto).
-func (d *Parallel) Kernel() Kernel { return d.kind }
 
 // Params returns the decoder's fixed-point configuration.
 func (d *Parallel) Params() fixed.Params { return d.p }
@@ -258,10 +297,12 @@ func (d *Parallel) Close() {
 	d.pool.close()
 }
 
-// SetInjector installs (or, with nil, removes) a fault injector. Lane
-// w*Lanes+f of the injector's address space is frame f of packed word
-// w, so a single-word scenario addresses the same lanes it would on
-// Decoder.
+// SetInjector installs (or, with nil, removes) a fault injector that
+// perturbs the packed message words between phases. Lane w*Lanes+f of
+// the injector's address space is frame f of packed word w, so an
+// 8-frame scenario addresses the same lanes at every geometry. The
+// decode path pays one nil check per phase when no injector is
+// installed.
 func (d *Parallel) SetInjector(inj fixed.Injector) {
 	d.inj = inj
 	if inj == nil {
@@ -274,8 +315,9 @@ func (d *Parallel) SetInjector(inj fixed.Injector) {
 
 // superMem adapts the bank-major packed words to fixed.MessageMem:
 // lane w*Lanes+f of the address space is lane f of word w. Lanes of
-// frozen (early-stopped or tail) frames are not held, keeping fault
-// trajectories identical to the scalar decoder.
+// frozen (early-stopped or tail) frames are not held — their memory is
+// clock-gated, so writes are discarded — keeping fault trajectories
+// identical to a scalar decoder that stopped iterating at convergence.
 type superMem struct {
 	d    *Parallel
 	msgs []uint64
@@ -290,16 +332,10 @@ func (m *superMem) Holds(ln int) bool {
 	return d.st.done[w]&(0xFF<<(8*uint(f))) == 0
 }
 
-// base maps a canonical edge index to its first packed word: e·tw on
-// the indexed layout, the precomputed circulant-run offset on the
-// blocked one — injectors keep addressing canonical edges and produce
-// identical fault trajectories regardless of kernel.
-func (m *superMem) base(edge int) int {
-	if off := m.d.st.cnOff; off != nil {
-		return int(off[edge])
-	}
-	return edge * m.d.st.tw
-}
+// base maps a canonical edge index to its first packed word through
+// the layout's offset table, so injectors keep addressing canonical
+// edges and produce identical fault trajectories at every geometry.
+func (m *superMem) base(edge int) int { return int(m.d.st.cnOff[edge]) }
 
 func (m *superMem) Get(ln, edge int) int16 {
 	if !m.Holds(ln) {
@@ -317,7 +353,8 @@ func (m *superMem) Set(ln, edge int, v int16) {
 }
 
 // Decode quantizes up to Capacity frames of real LLRs and decodes them
-// together; see Decoder.Decode for the aliasing contract.
+// together. Result f corresponds to llrs[f]; the returned Bits vectors
+// are reused across calls, clone to retain.
 func (d *Parallel) Decode(llrs [][]float64) ([]ldpc.Result, error) {
 	res := d.sharedResults(len(llrs))
 	if err := d.DecodeInto(res, llrs); err != nil {
@@ -345,8 +382,11 @@ func (d *Parallel) DecodeInto(res []ldpc.Result, llrs [][]float64) error {
 }
 
 // DecodeQ decodes up to Capacity frames of already-quantized channel
-// LLRs; see Decoder.DecodeQ for saturation semantics and the aliasing
-// contract.
+// LLRs (each length N). Values outside the format range are saturated
+// into it during packing, so equality with fixed.Decoder.DecodeQ holds
+// for inputs within the format range (which Format.Quantize
+// guarantees). The returned Bits vectors are reused across calls,
+// clone to retain.
 func (d *Parallel) DecodeQ(qllrs [][]int16) ([]ldpc.Result, error) {
 	res := d.sharedResults(len(qllrs))
 	if err := d.DecodeQInto(res, qllrs); err != nil {
@@ -417,7 +457,7 @@ func (d *Parallel) packFrame(f int, q []int16) {
 
 // zeroTail erases the lanes of the last live word beyond the supplied
 // frames, so a partial word computes on all-zero (trivially converged)
-// tail lanes exactly like Decoder.
+// tail lanes.
 func (d *Parallel) zeroTail(nf int) {
 	rem := nf % Lanes
 	if rem == 0 {
@@ -433,9 +473,9 @@ func (d *Parallel) zeroTail(nf int) {
 
 // decodeInto runs the sharded iteration loop on the packed channel
 // words. The per-word trajectory — message values, freeze masks,
-// iteration counts — is identical to Decoder.decodeInto on the same
-// word, which is what keeps every lane bit-exact against the scalar
-// reference for any shard count.
+// iteration counts — does not depend on the geometry, which is what
+// keeps every lane bit-exact against the scalar reference for any
+// shard count and strip width.
 func (d *Parallel) decodeInto(res []ldpc.Result) error {
 	nf := len(res)
 	for f := range res {
@@ -559,15 +599,11 @@ func (d *Parallel) decodeInto(res []ldpc.Result) error {
 // --- shard phase kernels ---------------------------------------------
 //
 // Each phase runs the strip kernels of kernels.go on one shard's node
-// range for every live strip. The arithmetic per (word, check/bit
-// node) is byte-for-byte the loop body of Decoder.cnPhase /
-// Decoder.bnPhase / Decoder.unsatLanes; the only differences are the
-// bank-major indexing (edge e, word w) → e*tw+w, the graph offsets
-// being fetched once per node instead of once per (node, word), and
-// LaneWidth words advancing per unrolled kernel step. Strips whose
-// lanes are all frozen are skipped: their messages must stay put, and
-// skipping is exactly the freeze the single-word decoder realizes by
-// breaking out of its iteration loop.
+// range for every live strip, LaneWidth words per unrolled kernel
+// step, with the graph offsets fetched once per node instead of once
+// per (node, word). Strips whose lanes are all frozen are skipped:
+// their messages must stay put, and skipping is exactly the freeze a
+// scalar decoder realizes by breaking out of its iteration loop.
 
 // initRange seeds vc with the channel words and clears cv on the edge
 // range owned by shard s (the contiguous edges of its check range).

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -11,51 +12,6 @@ import (
 	"ccsdsldpc/internal/ldpc"
 	"ccsdsldpc/internal/protect"
 )
-
-// parallelCrossCheck decodes frames through fixed.Decoder and a
-// Parallel decoder with the given configuration and requires identical
-// hard decisions, iteration counts and convergence flags per frame.
-func parallelCrossCheck(t *testing.T, cfg ParallelConfig, p fixed.Params, frames int, seedBase uint64) {
-	t.Helper()
-	c := smallCode(t)
-	g := ldpc.NewGraph(c)
-	scalar, err := fixed.NewDecoderGraph(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := NewParallelGraph(g, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pd.Close()
-	cap := pd.Capacity()
-	for base := 0; base < frames; base += cap {
-		n := cap
-		if base+n > frames {
-			n = frames - base
-		}
-		qs := make([][]int16, n)
-		for f := range qs {
-			qs[f] = noisyQ(t, c, p.Format, 3.0, seedBase+uint64(base+f))
-		}
-		got, err := pd.DecodeQ(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := range qs {
-			want := scalar.DecodeQ(qs[f])
-			if !got[f].Bits.Equal(want.Bits) {
-				t.Fatalf("shards=%d superbatch=%d frame %d: hard decision diverges from fixed",
-					cfg.Shards, cfg.SuperBatch, base+f)
-			}
-			if got[f].Iterations != want.Iterations || got[f].Converged != want.Converged {
-				t.Fatalf("shards=%d superbatch=%d frame %d: (it=%d conv=%v) vs fixed (it=%d conv=%v)",
-					cfg.Shards, cfg.SuperBatch, base+f,
-					got[f].Iterations, got[f].Converged, want.Iterations, want.Converged)
-			}
-		}
-	}
-}
 
 // TestParallelMatchesFixed sweeps the (shards, superbatch) matrix —
 // including shards beyond the check-node count ("more units than
@@ -78,7 +34,7 @@ func TestParallelMatchesFixed(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				// 27 frames: full words, a partial 3-lane tail word, and
 				// for SuperBatch>4 a partially filled super-batch.
-				parallelCrossCheck(t, cfg, p, 27, uint64(1000*cfg.Shards+cfg.SuperBatch))
+				crossCheck(t, smallCode(t), cfg, p, 3.0, 27, uint64(1000*cfg.Shards+cfg.SuperBatch))
 			})
 		}
 	}
@@ -90,47 +46,7 @@ func TestParallelMatchesFixed(t *testing.T) {
 func TestParallelMoreShardsThanBanks(t *testing.T) {
 	c := smallCode(t)
 	shards := c.M + 7 // small test code: more workers than CN banks
-	parallelCrossCheck(t, ParallelConfig{Shards: shards, SuperBatch: 2}, highSpeedParams(), 19, 77)
-}
-
-// TestParallelDegeneratesToDecoder checks that Shards=1, SuperBatch=1
-// reproduces the single-word packed decoder exactly, call for call.
-func TestParallelDegeneratesToDecoder(t *testing.T) {
-	c := smallCode(t)
-	p := highSpeedParams()
-	bd, err := NewDecoder(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := NewParallel(c, p, ParallelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pd.Close()
-	if got := pd.Config(); got.Shards != 1 || got.SuperBatch != 1 {
-		t.Fatalf("zero config resolved to %+v, want {1 1}", got)
-	}
-	for _, nf := range []int{1, 3, Lanes} {
-		qs := make([][]int16, nf)
-		for f := range qs {
-			qs[f] = noisyQ(t, c, p.Format, 2.8, uint64(500+10*nf+f))
-		}
-		want, err := bd.DecodeQ(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pd.DecodeQ(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < nf; f++ {
-			if !got[f].Bits.Equal(want[f].Bits) ||
-				got[f].Iterations != want[f].Iterations ||
-				got[f].Converged != want[f].Converged {
-				t.Fatalf("nf=%d frame %d: Parallel{1,1} diverges from Decoder", nf, f)
-			}
-		}
-	}
+	crossCheck(t, c, ParallelConfig{Shards: shards, SuperBatch: 2}, highSpeedParams(), 3.0, 19, 77)
 }
 
 // TestParallelPartition checks the partition invariants NewParallel
@@ -140,8 +56,12 @@ func TestParallelDegeneratesToDecoder(t *testing.T) {
 func TestParallelPartition(t *testing.T) {
 	deg := func(i int) int { return 2 + i%5 }
 	for _, n := range []int{1, 7, 62, 124} {
+		total := 0
+		for i := 0; i < n; i++ {
+			total += deg(i)
+		}
 		for _, shards := range []int{1, 2, 3, 8, n, n + 3, 4 * n} {
-			lo, hi := partitionByEdges(shards, n, deg)
+			lo, hi := partitionByEdges(shards, n, total, deg)
 			if len(lo) != shards || len(hi) != shards {
 				t.Fatalf("n=%d shards=%d: %d/%d ranges", n, shards, len(lo), len(hi))
 			}
@@ -159,7 +79,7 @@ func TestParallelPartition(t *testing.T) {
 				t.Fatalf("n=%d shards=%d: coverage ends at %d", n, shards, next)
 			}
 			// Deterministic: a second call yields identical boundaries.
-			lo2, hi2 := partitionByEdges(shards, n, deg)
+			lo2, hi2 := partitionByEdges(shards, n, total, deg)
 			for s := range lo {
 				if lo[s] != lo2[s] || hi[s] != hi2[s] {
 					t.Fatalf("n=%d shards=%d: partition not deterministic", n, shards)
@@ -347,49 +267,57 @@ func TestParallelInjectorMatchesFixed(t *testing.T) {
 				for f := range qs {
 					qs[f] = noisyQ(t, c, p.Format, 3.0, uint64(3000+f))
 				}
-				fd, err := fixed.NewDecoderGraph(g, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantBits := make([]*bitvec.Vector, nf)
-				wantIt := make([]int, nf)
-				wantConv := make([]bool, nf)
-				for f := 0; f < nf; f++ {
-					fd.SetInjector(dinj, f)
-					res := fd.DecodeQ(qs[f])
-					wantBits[f] = res.Bits.Clone()
-					wantIt[f] = res.Iterations
-					wantConv[f] = res.Converged
-				}
-				fd.SetInjector(nil, 0)
 				for _, cfg := range []ParallelConfig{
 					{Shards: 1, SuperBatch: 2},
 					{Shards: 4, SuperBatch: 2},
 					{Shards: 3, SuperBatch: 4},
 				} {
-					pd, err := NewParallelGraph(g, p, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pd.SetInjector(dinj)
-					got, err := pd.DecodeQ(qs)
-					pd.SetInjector(nil)
-					if err != nil {
-						pd.Close()
-						t.Fatal(err)
-					}
-					for f := 0; f < nf; f++ {
-						if !got[f].Bits.Equal(wantBits[f]) {
-							t.Errorf("S%dW%d frame %d: faulted hard decision diverges from fixed", cfg.Shards, cfg.SuperBatch, f)
-						}
-						if got[f].Iterations != wantIt[f] || got[f].Converged != wantConv[f] {
-							t.Errorf("S%dW%d frame %d: (it=%d conv=%v) vs fixed (it=%d conv=%v)",
-								cfg.Shards, cfg.SuperBatch, f, got[f].Iterations, got[f].Converged, wantIt[f], wantConv[f])
-						}
-					}
-					pd.Close()
+					checkLanes(t, g, cfg, p, qs, dinj)
 				}
 			})
 		}
+	}
+}
+
+// TestIdentityLayoutMatchesFixed decodes over a graph without a
+// circulant table, which stores edge e at slot e through the same
+// offset tables, and requires bit-exact agreement with internal/fixed,
+// bare and under fault injection, at the single-word and a sharded
+// wide-strip geometry.
+func TestIdentityLayoutMatchesFixed(t *testing.T) {
+	c := smallCode(t)
+	g := ldpc.NewGraph(c)
+	if g.QC == nil {
+		t.Fatal("test code has no circulant layout to strip")
+	}
+	bare := *g
+	bare.QC = nil
+	p := highSpeedParams()
+	for _, cfg := range []ParallelConfig{{}, {Shards: 2, SuperBatch: 2, LaneWidth: 8}} {
+		d, err := NewParallelGraph(&bare, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !IdentityLayout(d) {
+			t.Fatalf("%+v: edges not stored at their identity slots", cfg)
+		}
+		nf := d.Capacity() - 3 // partial tail word
+		d.Close()
+		qs := make([][]int16, nf)
+		for f := range qs {
+			qs[f] = noisyQ(t, c, p.Format, 3.0, uint64(4000+f))
+		}
+		checkLanes(t, &bare, cfg, p, qs, nil)
+		checkLanes(t, &bare, cfg, p, qs, &flipInjector{lanes: nf, edges: g.E})
+	}
+}
+
+// TestOffsetOverflowRejected pins the int32 bound of the offset tables:
+// a graph whose edges × words exceed it fails construction before any
+// state is allocated (the message memory alone would be tens of GB).
+func TestOffsetOverflowRejected(t *testing.T) {
+	g := &ldpc.Graph{E: math.MaxInt32/64 + 1}
+	if _, err := NewParallelGraph(g, highSpeedParams(), ParallelConfig{SuperBatch: 8, LaneWidth: 8}); err == nil {
+		t.Fatal("edges × words beyond int32 accepted")
 	}
 }

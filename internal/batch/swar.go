@@ -14,7 +14,7 @@
 // with internal/fixed at formats narrow enough for the int8 lanes
 // (the high-speed Q(5,1) format in particular): decoding the same
 // quantized channel LLRs through fixed.Decoder and through one lane of
-// batch.Decoder produces identical hard decisions, iteration counts and
+// batch.Parallel produces identical hard decisions, iteration counts and
 // convergence flags.
 package batch
 

@@ -29,7 +29,7 @@ func TestWideMatchesFixed(t *testing.T) {
 					// A few frames short of capacity, so the last strip is
 					// partial and the tail word has frozen lanes.
 					frames := cfg.words()*Lanes - 5
-					parallelCrossCheck(t, cfg, p, frames, uint64(7000+100*cfg.Shards+10*cfg.SuperBatch+lw))
+					crossCheck(t, smallCode(t), cfg, p, 3.0, frames, uint64(7000+100*cfg.Shards+10*cfg.SuperBatch+lw))
 				})
 			}
 		}
@@ -147,7 +147,7 @@ func TestEightWordBindingAliasesFour(t *testing.T) {
 		}
 		defer pd.Close()
 		if force8 {
-			pd.kern = bindKernels[[8]uint64](pd.Kernel())
+			pd.kern = bindKernels[[8]uint64]()
 		}
 		res := make([]ldpc.Result, nf)
 		for f := range res {

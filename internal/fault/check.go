@@ -48,7 +48,7 @@ type CheckConfig struct {
 	// additionally exercise the partial-super-batch path under faults.
 	// Nil picks a default matrix covering even, uneven and degenerate
 	// partitions plus wide-lane strips: {S2,B1}, {S3,B2}, {S4,B4},
-	// {S1,B1,L4} and {S2,B2,L8} (L = LaneWidth).
+	// {S1,B1,L4}, {S2,B2,L8} and {S3,B2,L8} (L = LaneWidth).
 	Parallel []batch.ParallelConfig
 }
 
@@ -75,11 +75,12 @@ type CheckReport struct {
 }
 
 // CrossCheck replays seeded random fault scenarios through the scalar
-// fixed-point decoder, the frame-packed SWAR decoder, every sharded
-// super-batch geometry in cfg.Parallel, and — on the fixed-period
-// scenarios — the cycle-accurate architecture model, and verifies they
-// emit identical hard decisions, iteration counts and convergence
-// flags lane for lane. Even-numbered scenarios use the hardware's
+// fixed-point decoder, the frame-packed SWAR decoder at its
+// single-word geometry, every sharded super-batch geometry in
+// cfg.Parallel, and — on the fixed-period scenarios — the
+// cycle-accurate architecture model, and verifies they emit identical
+// hard decisions, iteration counts and convergence flags lane for
+// lane. Even-numbered scenarios use the hardware's
 // fixed-period schedule and include hwsim; odd-numbered scenarios use
 // per-frame early stop, which hwsim does not implement (its optional
 // early stop terminates per batch), so they compare the fixed, batch
@@ -119,14 +120,16 @@ func CrossCheck(cfg CheckConfig) (CheckReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	bdFP, err := batch.NewDecoder(cfg.Code, fp)
+	bdFP, err := batch.NewParallel(cfg.Code, fp, batch.ParallelConfig{})
 	if err != nil {
 		return rep, err
 	}
-	bdES, err := batch.NewDecoder(cfg.Code, es)
+	defer bdFP.Close()
+	bdES, err := batch.NewParallel(cfg.Code, es, batch.ParallelConfig{})
 	if err != nil {
 		return rep, err
 	}
+	defer bdES.Close()
 	pcfgs := cfg.Parallel
 	if pcfgs == nil {
 		pcfgs = []batch.ParallelConfig{
@@ -135,12 +138,7 @@ func CrossCheck(cfg CheckConfig) (CheckReport, error) {
 			{Shards: 4, SuperBatch: 4},
 			{Shards: 1, SuperBatch: 1, LaneWidth: 4},
 			{Shards: 2, SuperBatch: 2, LaneWidth: 8},
-			// KernelAuto above resolves to the blocked kernels on QC
-			// codes; pin the indexed path explicitly so both layouts stay
-			// cross-checked against the scalar reference whatever Auto
-			// picks.
-			{Shards: 2, SuperBatch: 1, Kernel: batch.KernelIndexed},
-			{Shards: 3, SuperBatch: 2, LaneWidth: 8, Kernel: batch.KernelIndexed},
+			{Shards: 3, SuperBatch: 2, LaneWidth: 8},
 		}
 	}
 	pdFP := make([]*batch.Parallel, len(pcfgs))

@@ -28,8 +28,8 @@ func TestCrossDecoderEquivalence(t *testing.T) {
 	if rep.LanesCompared != 104*8 {
 		t.Errorf("compared %d lanes, want %d", rep.LanesCompared, 104*8)
 	}
-	if rep.ParallelLanesCompared != 104*7*8 {
-		t.Errorf("compared %d sharded lanes, want %d (7 geometries)", rep.ParallelLanesCompared, 104*7*8)
+	if rep.ParallelLanesCompared != 104*6*8 {
+		t.Errorf("compared %d sharded lanes, want %d (6 geometries)", rep.ParallelLanesCompared, 104*6*8)
 	}
 	if rep.SEUs == 0 {
 		t.Error("campaign injected no SEUs")

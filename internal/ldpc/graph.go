@@ -67,7 +67,7 @@ func NewGraph(c *code.Code) *Graph {
 		fill[j]++
 	}
 	// Best effort: a code without a (consistent) circulant table simply
-	// yields no QC layout, and decoders fall back to indexed kernels.
+	// yields no QC layout, and decoders store edges in canonical order.
 	if qc, err := NewQCLayout(c); err == nil {
 		g.QC = qc
 	}

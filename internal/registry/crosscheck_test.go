@@ -9,13 +9,15 @@ import (
 )
 
 // TestCrossCheckAllCodes replays seeded SEU scenarios through the
-// scalar fixed-point decoder, the SWAR batch decoder, one sharded
-// geometry and (on the fixed-period half) the cycle-accurate machine
-// for every registry code — the acceptance oracle that the multi-mode
-// catalog decodes bit-identically on every engine, punctured
-// protograph codes included. The scenario count is small because the
-// full-size codes make each scenario a complete multi-engine decode;
-// the miniature-code campaign in internal/fault carries the volume.
+// scalar fixed-point decoder, the SWAR batch decoder, two sharded
+// geometries (the second at the widest 8-word strip, so every code's
+// circulant-run layout is checked there) and, on the fixed-period
+// half, the cycle-accurate machine for every registry code — the
+// acceptance oracle that the multi-mode catalog decodes bit-identically
+// on every engine, punctured protograph codes included. The scenario
+// count is small because the full-size codes make each scenario a
+// complete multi-engine decode; the miniature-code campaign in
+// internal/fault carries the volume.
 func TestCrossCheckAllCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size multi-engine decodes")
@@ -36,7 +38,7 @@ func TestCrossCheckAllCodes(t *testing.T) {
 				Scenarios:     2,
 				Seed:          uint64(e.ID) + 1,
 				PuncturedCols: b.PuncturedCols,
-				Parallel:      []batch.ParallelConfig{{Shards: 2, SuperBatch: 1}},
+				Parallel:      []batch.ParallelConfig{{Shards: 2, SuperBatch: 1}, {Shards: 3, SuperBatch: 2, LaneWidth: 8}},
 			})
 			if err != nil {
 				t.Fatalf("decoders diverged: %v", err)

@@ -1,7 +1,7 @@
 // Package serve is the decode-as-a-service layer over the frame-packed
 // SWAR decoder: an adaptive batching scheduler that packs frames from
-// concurrent clients into full 8-lane batches for a pool of
-// batch.Decoder workers.
+// concurrent clients into full 8-lane batches for a pool of workers,
+// each owning one batch.Parallel decoder.
 //
 // The paper's high-speed instance earns its 8× throughput by storing 8
 // frames' messages in every memory word (Fig. 3) — which only pays off
@@ -95,12 +95,6 @@ type Config struct {
 	// 8×LaneWidth frames per kernel step with results bit-identical to
 	// every other width.
 	LaneWidth int
-	// Kernel selects the workers' message memory layout (default
-	// batch.KernelAuto: the blocked circulant-run kernels on
-	// quasi-cyclic codes, indexed otherwise). All kernels are
-	// bit-identical; batch.KernelBlocked fails construction on a
-	// non-quasi-cyclic code.
-	Kernel batch.Kernel
 	// MaxBatch is the dispatch width in frames,
 	// 1..SuperBatch×LaneWidth×batch.Lanes (default
 	// SuperBatch×LaneWidth×batch.Lanes; 8 — the paper's packing factor
@@ -298,30 +292,12 @@ type job struct {
 	n    int
 }
 
-// packedDecoder is the worker-side decoder contract, satisfied by both
-// the single-word SWAR batch.Decoder (Shards = SuperBatch = LaneWidth
-// = 1) and the sharded wide-lane super-batch batch.Parallel.
-type packedDecoder interface {
-	DecodeQInto(res []ldpc.Result, qllrs [][]int16) error
-	MaxIterations() int
-	SetMaxIterations(n int) error
-}
-
-// closeDecoder releases a decoder's resources when it has any (the
-// sharded decoder owns a pool of shard goroutines; the plain SWAR
-// decoder has nothing to release).
-func closeDecoder(dec packedDecoder) {
-	if c, ok := dec.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // Server is the decode service. Create with New, submit frames with
 // DecodeQ from any number of goroutines, stop with Close.
 type Server struct {
 	cfg     Config
-	graph   *ldpc.Graph                   // retained for rebuilding crashed workers' decoders
-	newDec  func() (packedDecoder, error) // decoder factory honoring Shards/SuperBatch
+	graph   *ldpc.Graph                     // retained for rebuilding crashed workers' decoders
+	newDec  func() (*batch.Parallel, error) // decoder factory honoring Shards/SuperBatch/LaneWidth
 	in      chan *request
 	jobs    chan *job
 	metrics *Metrics
@@ -346,23 +322,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	g := ldpc.NewGraph(cfg.Code)
-	newDec := func() (packedDecoder, error) {
-		if cfg.Shards > 1 || cfg.SuperBatch > 1 || cfg.LaneWidth > 1 {
-			return batch.NewParallelGraph(g, cfg.Params, batch.ParallelConfig{
-				Shards:     cfg.Shards,
-				SuperBatch: cfg.SuperBatch,
-				LaneWidth:  cfg.LaneWidth,
-				Kernel:     cfg.Kernel,
-			})
-		}
-		return batch.NewDecoderGraphKernel(g, cfg.Params, cfg.Kernel)
+	newDec := func() (*batch.Parallel, error) {
+		return batch.NewParallelGraph(g, cfg.Params, batch.ParallelConfig{
+			Shards:     cfg.Shards,
+			SuperBatch: cfg.SuperBatch,
+			LaneWidth:  cfg.LaneWidth,
+		})
 	}
-	decs := make([]packedDecoder, cfg.Workers)
+	decs := make([]*batch.Parallel, cfg.Workers)
 	for w := range decs {
 		d, err := newDec()
 		if err != nil {
 			for _, built := range decs[:w] {
-				closeDecoder(built)
+				built.Close()
 			}
 			return nil, err
 		}
@@ -567,16 +539,16 @@ func (s *Server) batcher() {
 // possibly-corrupt decoder is discarded for a freshly built one, and
 // the worker goroutine keeps serving. The server never crashes and no
 // claimed frame is ever lost.
-func (s *Server) worker(id int, dec packedDecoder) {
+func (s *Server) worker(id int, dec *batch.Parallel) {
 	defer s.workerWG.Done()
-	defer func() { closeDecoder(dec) }()
+	defer func() { dec.Close() }()
 	var res [batch.MaxFrames]ldpc.Result
 	var qs [batch.MaxFrames][]int16
 	for j := range s.jobs {
 		if !s.runJob(id, dec, j, &res, &qs) {
 			s.metrics.workerRestarts.Add(1)
 			if d, err := s.newDec(); err == nil {
-				closeDecoder(dec) // shard goroutines survive a coordinator panic; release them
+				dec.Close() // shard goroutines survive a coordinator panic; release them
 				dec = d
 			}
 			// The factory cannot fail here — the same graph and params
@@ -590,7 +562,7 @@ func (s *Server) worker(id int, dec packedDecoder) {
 // runJob claims and decodes one dispatched batch, delivering a result
 // to every claimed frame. It reports ok=false after confining a panic,
 // in which case the decoder must be considered corrupt.
-func (s *Server) runJob(id int, dec packedDecoder, j *job, res *[batch.MaxFrames]ldpc.Result, qs *[batch.MaxFrames][]int16) (ok bool) {
+func (s *Server) runJob(id int, dec *batch.Parallel, j *job, res *[batch.MaxFrames]ldpc.Result, qs *[batch.MaxFrames][]int16) (ok bool) {
 	n := j.n
 	k := 0
 	for i := 0; i < n; i++ {

@@ -8,7 +8,7 @@ import (
 	"ccsdsldpc/internal/ldpc"
 )
 
-// TestBatchPathMatchesScalarStatistics: because batch.Decoder is
+// TestBatchPathMatchesScalarStatistics: because batch.Parallel is
 // bit-compatible with fixed.Decoder lane by lane and every frame is a
 // pure function of (seed, index), an exhaustive MaxFrames-bounded run
 // must produce identical counts through the scalar and the packed
@@ -41,7 +41,7 @@ func TestBatchPathMatchesScalarStatistics(t *testing.T) {
 		batchCfg := base
 		batchCfg.BatchSize = bs
 		batchCfg.NewBatchDecoder = func() (BatchDecoder, error) {
-			return batch.NewDecoder(c, p)
+			return batch.NewParallel(c, p, batch.ParallelConfig{})
 		}
 		got, err := RunPoint(batchCfg, 2.5)
 		if err != nil {
@@ -76,7 +76,7 @@ func TestBatchRandomData(t *testing.T) {
 		BatchSize:  batch.Lanes,
 		RandomData: true,
 		NewBatchDecoder: func() (BatchDecoder, error) {
-			return batch.NewDecoder(c, p)
+			return batch.NewParallel(c, p, batch.ParallelConfig{})
 		},
 		MinFrameErrors: 5,
 		MaxFrames:      400,
@@ -92,5 +92,5 @@ func TestBatchRandomData(t *testing.T) {
 	}
 }
 
-var _ BatchDecoder = (*batch.Decoder)(nil)
+var _ BatchDecoder = (*batch.Parallel)(nil)
 var _ FrameDecoder = (*ldpc.Decoder)(nil)

@@ -39,7 +39,7 @@ type FrameDecoder interface {
 }
 
 // BatchDecoder decodes several frames per call — the software analogue
-// of the paper's frame-packed high-speed memory layout. batch.Decoder
+// of the paper's frame-packed high-speed memory layout. batch.Parallel
 // satisfies it. Result i corresponds to llrs[i]; implementations may
 // reuse the Bits vectors across calls.
 type BatchDecoder interface {

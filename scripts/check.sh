@@ -1,15 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, static analysis (when staticcheck is
 # installed — CI installs it, minimal containers may not have it), the
-# full test suite, and a race pass over the concurrency-bearing packages
-# (the Monte-Carlo harness, the frame-packed batch and sharded
-# super-batch decoders it drives, the SEU protection layer shared by
-# every decoder, the cross-decoder fault oracle that exercises the
-# shard pool under injection, the batching decode server with its
-# scheduler + worker pool under concurrent clients, the streaming
-# station front end whose group submissions fan out goroutine-per-frame
-# into that server, and the fleet routing tier whose hedges, requeues
-# and health-driven ring rebuilds race against backend death).
+# full test suite, and the race pass over the concurrency-bearing
+# packages (`make race`, whose package list CI's race job shares).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -20,4 +13,4 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test ./...
-go test -race ./internal/sim/... ./internal/batch/... ./internal/serve/... ./internal/protect/... ./internal/fault/... ./internal/station/... ./internal/fleet/...
+make race
