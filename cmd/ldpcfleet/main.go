@@ -20,8 +20,10 @@
 //	/healthz     200 while at least one backend is routable, else 503
 //	/debug/vars  the same snapshot through expvar
 //
-// On SIGTERM or SIGINT the router stops accepting, lets in-flight
-// frames complete, prints the fleet summary and exits 0.
+// On SIGTERM or SIGINT the router drains like ldpcserver: open client
+// connections get until -timeout to end and are then closed (at once
+// on a second signal), in-flight frames complete, the fleet summary
+// prints and the process exits 0.
 //
 // Usage:
 //
@@ -29,7 +31,7 @@
 //	          [-addr :7080] [-http :7081] [-codes all] [-conns 4]
 //	          [-pipeline 32] [-timeout 2s] [-hedge 0] [-retryburst 16]
 //	          [-retryratio 0.1] [-poll 500ms] [-readmit 3] [-vnodes 64]
-//	          [-window 64] [-maxinflight 0]
+//	          [-maxinflight 0]
 package main
 
 import (
@@ -70,7 +72,6 @@ func main() {
 		poll        = flag.Duration("poll", 500*time.Millisecond, "health probe period")
 		readmit     = flag.Int("readmit", 3, "consecutive healthy probes before a drained backend rejoins")
 		vnodes      = flag.Int("vnodes", 64, "ring points per unit of backend weight")
-		window      = flag.Int("window", 64, "pipelined requests per client connection")
 	)
 	flag.Parse()
 
@@ -114,7 +115,6 @@ func main() {
 		PollInterval:    *poll,
 		ReadmitAfter:    *readmit,
 		VirtualNodes:    *vnodes,
-		ClientWindow:    *window,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -162,12 +162,14 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
+	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		log.Print("draining...")
-		l.Close()
+		log.Printf("draining: refusing new connections, waiting up to %v for open ones", *timeout)
+		if n := r.Front().Drain(l, r.Config().RequestTimeout, sig); n > 0 {
+			log.Printf("closed %d open connections", n)
+		}
 	}()
 
 	if err := r.ServeListener(l); err != nil {

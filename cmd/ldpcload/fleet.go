@@ -2,13 +2,13 @@ package main
 
 // Fleet mode: route the generated load through internal/fleet across N
 // in-process backend instances — each a registry.Mux on its own
-// loopback listener with tracked connections, so the chaos controller
-// can kill one abruptly (listener, live connections, pools) mid-run and
-// restart it later on the same address. `-fleet N` runs one routed
-// phase; `-fleetbench` runs the scaling sweep N ∈ {1,2,4} plus the
-// kill/restart chaos phase, enforces the resilience gates, and writes
-// the BENCH_fleet.json artifact (exit 1 on a gate failure, after
-// writing the artifact).
+// loopback listener, its front door tracking the connections, so the
+// chaos controller can kill one abruptly (listener, live connections,
+// pools) mid-run and restart it later on the same address. `-fleet N`
+// runs one routed phase; `-fleetbench` runs the scaling sweep
+// N ∈ {1,2,4} plus the kill/restart chaos phase, enforces the
+// resilience gates, and writes the BENCH_fleet.json artifact (exit 1 on
+// a gate failure, after writing the artifact).
 
 import (
 	"encoding/json"
@@ -48,12 +48,11 @@ type fleetBackend struct {
 	ids  []registry.ID
 	scfg serve.Config
 
-	mu    sync.Mutex
-	addr  string // fixed after first start, reused across restarts
-	up    bool
-	l     net.Listener
-	mux   *registry.Mux
-	conns map[net.Conn]struct{}
+	mu   sync.Mutex
+	addr string // fixed after first start, reused across restarts
+	up   bool
+	l    net.Listener
+	mux  *registry.Mux
 }
 
 // start brings the instance up (or back up on its original address
@@ -84,32 +83,8 @@ func (fb *fleetBackend) start() error {
 	}
 	fb.addr = l.Addr().String()
 	fb.l, fb.mux, fb.up = l, mux, true
-	fb.conns = make(map[net.Conn]struct{})
-	go fb.serve(l, mux)
+	go mux.ServeListener(l)
 	return nil
-}
-
-func (fb *fleetBackend) serve(l net.Listener, mux *registry.Mux) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		fb.mu.Lock()
-		if !fb.up || fb.l != l {
-			fb.mu.Unlock()
-			conn.Close()
-			return
-		}
-		fb.conns[conn] = struct{}{}
-		fb.mu.Unlock()
-		go func() {
-			_ = mux.ServeConn(conn)
-			fb.mu.Lock()
-			delete(fb.conns, conn)
-			fb.mu.Unlock()
-		}()
-	}
 }
 
 // kill is abrupt instance death, not a drain: listener first (dials
@@ -123,13 +98,11 @@ func (fb *fleetBackend) kill() {
 		return
 	}
 	fb.up = false
-	l, mux, conns := fb.l, fb.mux, fb.conns
-	fb.l, fb.mux, fb.conns = nil, nil, nil
+	l, mux := fb.l, fb.mux
+	fb.l, fb.mux = nil, nil
 	fb.mu.Unlock()
 	l.Close()
-	for c := range conns {
-		c.Close()
-	}
+	mux.Front().CloseConns()
 	mux.Close()
 }
 

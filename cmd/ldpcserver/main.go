@@ -33,10 +33,10 @@
 //	             default
 //
 // On SIGTERM or SIGINT the server drains gracefully: the listener
-// closes (new connections refused, /healthz flips to 503), in-flight
-// frames on open connections finish, metrics flush to the log, and the
-// process exits 0. Connections still open after -draintimeout — or a
-// second signal — are closed forcibly.
+// closes (new connections refused, /healthz flips to 503), open
+// connections get until -draintimeout to end, metrics flush to the log,
+// and the process exits 0. Connections still open then — or at a
+// second signal — are closed (serve.Front.Drain).
 //
 // Usage:
 //
@@ -48,7 +48,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -59,7 +58,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -135,7 +133,7 @@ func main() {
 	}
 	log.Printf("decode endpoint on %s", l.Addr())
 
-	ds := &drainServer{m: m, conns: make(map[net.Conn]struct{})}
+	var draining atomic.Bool
 
 	if *httpAddr != "" {
 		expvar.Publish("ldpcserver", expvar.Func(func() any { return m.Snapshot() }))
@@ -143,7 +141,7 @@ func main() {
 		// that is not registered here, so pprof stays off unless asked.
 		hmux := http.NewServeMux()
 		hmux.HandleFunc("/metrics", metricsHandler(m, *iters))
-		hmux.HandleFunc("/healthz", healthHandler(ds))
+		hmux.HandleFunc("/healthz", healthHandler(m, &draining))
 		hmux.Handle("/debug/vars", expvar.Handler())
 		if *pprofOn {
 			hmux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -165,33 +163,24 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM: graceful drain — stop accepting (and flip
-	// /healthz to 503 so a fleet router reroutes), let in-flight frames
-	// on open connections finish, then flush metrics and exit 0. Open
-	// connections outliving -draintimeout, or a second signal, are
-	// closed forcibly: a stuck client must not hold the process hostage.
+	// /healthz to 503 so a fleet router reroutes), let open connections
+	// finish, then flush metrics and exit 0. Open connections outliving
+	// -draintimeout, or a second signal, are closed: a stuck client must
+	// not hold the process hostage.
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	drained := make(chan struct{})
 	go func() {
 		<-sig
-		ds.draining.Store(true)
-		log.Printf("draining: refusing new connections, waiting up to %v for %d open", *drainT, ds.open())
-		l.Close()
-		select {
-		case <-drained:
-			return
-		case <-sig:
-			log.Print("second signal: closing open connections")
-		case <-time.After(*drainT):
-			log.Printf("drain timeout: closing %d open connections", ds.open())
+		draining.Store(true)
+		log.Printf("draining: refusing new connections, waiting up to %v for open ones", *drainT)
+		if n := m.Front().Drain(l, *drainT, sig); n > 0 {
+			log.Printf("closed %d open connections", n)
 		}
-		ds.closeConns()
 	}()
 
-	if err := ds.serve(l); err != nil {
+	if err := m.ServeListener(l); err != nil {
 		log.Print(err)
 	}
-	close(drained)
 	m.Close()
 	snap := m.Snapshot()
 	for _, cs := range snap.Codes {
@@ -248,69 +237,18 @@ func metricsHandler(m *registry.Mux, iters int) http.HandlerFunc {
 	}
 }
 
-// drainServer is the accept loop with connection tracking: the set of
-// open decode connections is what a graceful drain waits on and what a
-// forced drain closes.
-type drainServer struct {
-	m        *registry.Mux
-	draining atomic.Bool
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-}
-
-func (ds *drainServer) serve(l net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		ds.mu.Lock()
-		ds.conns[conn] = struct{}{}
-		ds.mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				ds.mu.Lock()
-				delete(ds.conns, conn)
-				ds.mu.Unlock()
-			}()
-			_ = ds.m.ServeConn(conn)
-		}()
-	}
-}
-
-func (ds *drainServer) open() int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.conns)
-}
-
-func (ds *drainServer) closeConns() {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for c := range ds.conns {
-		c.Close()
-	}
-}
-
 // healthHandler is the load-balancer probe and the fleet router's HTTP
 // probe body: a serve.HealthSnapshot aggregated across the built pools,
 // served 200 while healthy and 503 once any pool's windowed failure
 // rate crosses threshold — or the instance is draining, which is the
 // rotation-exit signal that turns a shutdown into a reroute instead of
 // an error burst.
-func healthHandler(ds *drainServer) http.HandlerFunc {
+func healthHandler(m *registry.Mux, draining *atomic.Bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		out := struct {
 			serve.HealthSnapshot
 			Draining bool `json:"draining"`
-		}{HealthSnapshot: ds.m.HealthSnapshot(), Draining: ds.draining.Load()}
+		}{HealthSnapshot: m.HealthSnapshot(), Draining: draining.Load()}
 		if out.Draining {
 			out.Healthy = false
 		}

@@ -50,7 +50,7 @@ import (
 	"ccsdsldpc/internal/serve"
 )
 
-// Routing errors, surfaced to clients as wire statuses by ServeConn
+// Routing errors, surfaced to clients as wire statuses by the front door
 // (overloaded/deadline/internal) so existing retry logic keeps working.
 var (
 	// ErrOverloaded reports that every routable backend's queue is full
@@ -129,9 +129,6 @@ type Config struct {
 	// VirtualNodes is the ring points per unit of backend weight
 	// (default 64).
 	VirtualNodes int
-	// ClientWindow is the per-client-connection pipeline: requests
-	// accepted but not yet answered (default 64).
-	ClientWindow int
 }
 
 func (c *Config) setDefaults() error {
@@ -209,12 +206,6 @@ func (c *Config) setDefaults() error {
 	if c.VirtualNodes < 1 {
 		return fmt.Errorf("fleet: %d virtual nodes", c.VirtualNodes)
 	}
-	if c.ClientWindow == 0 {
-		c.ClientWindow = 64
-	}
-	if c.ClientWindow < 1 {
-		return fmt.Errorf("fleet: client window %d", c.ClientWindow)
-	}
 	return nil
 }
 
@@ -255,14 +246,14 @@ func (c *call) complete(resp []byte, err error) bool {
 // Close.
 type Router struct {
 	cfg      Config
-	cb       serve.Codebook
+	front    *serve.Front
 	backends []*backend
 	budget   *retryBudget
 	metrics  *Metrics
 
-	ring    atomic.Pointer[ring]
-	ringMu  sync.Mutex // serializes rebuilds
-	counter atomic.Uint64
+	ring     atomic.Pointer[ring]
+	ringMu   sync.Mutex // serializes rebuilds
+	counter  atomic.Uint64
 	inflight atomic.Int64
 
 	closed atomic.Bool
@@ -279,10 +270,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:    cfg,
-		cb:     cfg.Codebook,
 		budget: newRetryBudget(cfg.RetryBurst, cfg.RetryRatio),
 		stop:   make(chan struct{}),
 	}
+	r.front = serve.NewFront(cfg.Codebook, r.forward)
 	for i, bc := range cfg.Backends {
 		b := newBackend(i, bc, cfg)
 		r.backends = append(r.backends, b)
@@ -308,8 +299,8 @@ func (r *Router) Metrics() *Metrics { return r.metrics }
 
 // Submit routes one request payload (v1 or v2, forwarded verbatim) to a
 // backend and returns the backend's raw response payload. codeID is the
-// parsed code tag — the hash key component — which ServeConn obtains
-// via serve.ParseRequest; direct callers must do the same. Submit is
+// request's parsed code tag — the hash key component — which the front
+// door parses from every request; direct callers must do the same. Submit is
 // safe for any number of concurrent callers and applies the full
 // fault-tolerance ladder: reroute on shed, requeue once on connection
 // loss, hedge on latency, shed with ErrOverloaded when saturated.

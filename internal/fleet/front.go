@@ -1,27 +1,12 @@
 package fleet
 
 import (
-	"bufio"
 	"errors"
-	"io"
 	"net"
-	"sync"
 
 	"ccsdsldpc/internal/ldpc"
 	"ccsdsldpc/internal/serve"
 )
-
-// clientResult is one answered request on a client connection: either a
-// backend's raw response payload forwarded verbatim, or a
-// router-originated status (parse rejection or routing failure).
-type clientResult struct {
-	raw    []byte
-	status byte
-}
-
-type clientSlot struct {
-	done chan clientResult // buffered 1; the producing goroutine never blocks
-}
 
 // statusForErr maps routing errors onto the wire statuses clients
 // already handle: saturation and deadline are retryable, a lost frame
@@ -40,114 +25,33 @@ func statusForErr(err error) byte {
 	}
 }
 
-// ServeConn answers v1/v2 decode requests on one client connection
-// until the peer closes it, routing each frame across the fleet. Up to
-// ClientWindow requests are in flight concurrently per connection;
-// responses return in request order (the protocol's contract), so a
-// pipelining client sees the same in-order stream a single backend
-// would produce — reordered internally by a per-request slot queue.
-// Malformed-but-framed requests are answered in-band
-// (StatusBadFrame/StatusUnknownCode) and the connection continues;
-// framing violations terminate it.
-func (r *Router) ServeConn(conn net.Conn) error {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 16<<10)
-	bw := bufio.NewWriterSize(conn, 16<<10)
-	slots := make(chan *clientSlot, r.cfg.ClientWindow)
-	werr := make(chan error, 1)
-
-	go func() { // writer: one response per slot, in request order
-		var wbuf []byte
-		var failed error
-		for s := range slots {
-			res := <-s.done
-			if failed != nil {
-				continue // drain remaining slots; connection already dead
-			}
-			var err error
-			switch {
-			case res.raw != nil:
-				err = serve.WriteRaw(bw, res.raw)
-			case res.status == serve.StatusUnknownCode:
-				wbuf, err = serve.WriteUnknownCode(bw, r.cb.IDs(), wbuf)
-			default:
-				wbuf, err = serve.WriteResponse(bw, res.status, ldpc.Result{}, wbuf)
-			}
-			if err == nil && len(slots) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				failed = err
-				conn.Close() // unblocks the reader
-			}
-		}
-		if failed == nil {
-			failed = bw.Flush()
-		}
-		werr <- failed
-	}()
-
-	var rbuf []byte
-	var rerr error
-	for {
-		rbuf, rerr = serve.ReadRawRequest(br, rbuf)
-		if rerr != nil {
-			break
-		}
-		id, _, perr := serve.ParseRequest(rbuf, r.cb)
-		s := &clientSlot{done: make(chan clientResult, 1)}
-		if perr != nil {
-			if errors.Is(perr, serve.ErrUnknownCode) {
-				r.metrics.unknownCode.Add(1)
-				s.done <- clientResult{status: serve.StatusUnknownCode}
-			} else {
-				r.metrics.badFrames.Add(1)
-				s.done <- clientResult{status: serve.StatusBadFrame}
-			}
-			slots <- s
-			continue
-		}
-		// The read buffer is reused by the next iteration; the routed
-		// payload must be the call's own copy.
-		payload := append([]byte(nil), rbuf...)
-		slots <- s
-		go func() {
-			raw, err := r.Submit(id, payload)
-			if err != nil {
-				s.done <- clientResult{status: statusForErr(err)}
-				return
-			}
-			s.done <- clientResult{raw: raw}
-		}()
-	}
-	close(slots)
-	if wfail := <-werr; wfail != nil && rerr == io.EOF {
-		return wfail
-	}
-	if rerr == io.EOF {
-		return nil
-	}
-	return rerr
-}
-
-// ServeListener accepts client connections and serves each on its own
-// goroutine until the listener closes, then waits for in-flight
-// connections.
-func (r *Router) ServeListener(l net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
+// forward is the router's front-door handler. Each frame is routed from
+// its own goroutine, so a pipelining client keeps up to serve.Window
+// frames in flight per connection; the front door still writes the
+// responses in request order. The payload is copied because the
+// connection reuses its read buffer for the next request.
+func (r *Router) forward(req serve.Request, rep *serve.Reply) {
+	code, payload := req.Code, append([]byte(nil), req.Payload...)
+	go func() {
+		raw, err := r.Submit(code, payload)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
+			rep.Result(statusForErr(err), ldpc.Result{})
+			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = r.ServeConn(conn)
-		}()
-	}
+		rep.Raw(raw)
+	}()
 }
+
+// Front returns the router's front door: its connection tracking,
+// drain and request counters.
+func (r *Router) Front() *serve.Front { return r.front }
+
+// ServeConn answers v1/v2 decode requests on one client connection
+// until the peer closes it, routing each frame across the fleet (see
+// serve.Front.ServeConn).
+func (r *Router) ServeConn(conn net.Conn) error { return r.front.ServeConn(conn) }
+
+// ServeListener serves every client connection the listener accepts
+// until it closes, then waits for them to end (see
+// serve.Front.ServeListener).
+func (r *Router) ServeListener(l net.Listener) error { return r.front.ServeListener(l) }

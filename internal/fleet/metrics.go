@@ -3,6 +3,8 @@ package fleet
 import (
 	"expvar"
 	"sync/atomic"
+
+	"ccsdsldpc/internal/serve"
 )
 
 // Metrics is the fleet-wide instrumentation: the router's own counters
@@ -17,8 +19,6 @@ type Metrics struct {
 	framesLost      atomic.Int64 // reported lost after connection death
 	framesDeadline  atomic.Int64 // exhausted RequestTimeout
 	shedUpstream    atomic.Int64 // ErrOverloaded/ErrNoBackends to callers
-	unknownCode     atomic.Int64 // front-end parse: unserved code tag
-	badFrames       atomic.Int64 // front-end parse: malformed request
 
 	requeues     atomic.Int64 // frames moved to another backend (loss or shed)
 	hedges       atomic.Int64 // duplicate attempts raced for latency
@@ -63,8 +63,8 @@ type Snapshot struct {
 	FramesLost      int64 `json:"frames_lost"`
 	FramesDeadline  int64 `json:"frames_deadline"`
 	ShedUpstream    int64 `json:"shed_upstream"`
-	UnknownCode     int64 `json:"unknown_code"`
-	BadFrames       int64 `json:"bad_frames"`
+	// FrontCounts classifies the client requests the front door read.
+	serve.FrontCounts
 
 	Requeues     int64 `json:"requeues"`
 	Hedges       int64 `json:"hedges"`
@@ -88,8 +88,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		FramesLost:        m.framesLost.Load(),
 		FramesDeadline:    m.framesDeadline.Load(),
 		ShedUpstream:      m.shedUpstream.Load(),
-		UnknownCode:       m.unknownCode.Load(),
-		BadFrames:         m.badFrames.Load(),
+		FrontCounts:       r.front.Counts(),
 		Requeues:          m.requeues.Load(),
 		Hedges:            m.hedges.Load(),
 		BudgetDenied:      m.budgetDenied.Load(),

@@ -1,39 +1,38 @@
 package registry
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
 	"net"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ccsdsldpc/internal/bitvec"
 	"ccsdsldpc/internal/ldpc"
 	"ccsdsldpc/internal/serve"
 )
 
-// Mux is the multi-mode decode front end: it speaks the v1/v2 wire
-// protocol on TCP connections and routes each frame to the decoder pool
-// of the code it is tagged with. Untagged (v1) frames go to the
-// registry's default code, so single-code clients predating the code
-// tag keep working against a multi-mode server.
+// Mux is the multi-mode decode server: a handler of serve's front door
+// over one codebook that routes each frame to the decoder pool of the
+// code it is tagged with. Untagged (v1) frames go to the registry's
+// default code, so single-code clients predating the code tag keep
+// working against a multi-mode server.
 //
 // A frame tagged with a code outside the served set is answered with
 // StatusUnknownCode carrying the advertised list of served IDs — a
 // typed, permanent rejection the client can act on without retrying.
 type Mux struct {
-	reg    *Registry
-	pools  *Pools
-	served []*Entry
-	ids    []byte // ascending served wire IDs, the advertised list
+	*Codebook
+	reg   *Registry
+	pools *Pools
+	front *serve.Front
+	// scratch holds, per served code, the buffers of frames being
+	// decoded: widened wire LLRs, the expanded inner frame and its hard
+	// decisions, reused across frames and connections.
+	scratch map[ID]*sync.Pool
+}
 
-	unknown   atomic.Int64
-	badFrames atomic.Int64
-	v1Frames  atomic.Int64
-	v2Frames  atomic.Int64
+// frameScratch is one frame's decode buffers.
+type frameScratch struct {
+	wire, q []int16
+	bits    *bitvec.Vector
 }
 
 // NewMux builds a mux serving the given subset of the registry with
@@ -41,45 +40,33 @@ type Mux struct {
 // lazily: a code nobody sends frames for costs nothing but its catalog
 // entry.
 func NewMux(reg *Registry, served []ID, tmpl serve.Config) (*Mux, error) {
-	if len(served) == 0 {
-		return nil, fmt.Errorf("registry: mux with no served codes")
+	cb, err := NewCodebook(reg, served)
+	if err != nil {
+		return nil, err
 	}
-	m := &Mux{reg: reg, pools: NewPools(reg, tmpl)}
-	seen := map[ID]bool{}
-	for _, id := range served {
-		e, ok := reg.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("registry: serving unregistered id %d", id)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("registry: code %q served twice", e.Name)
-		}
-		seen[id] = true
-		m.served = append(m.served, e)
-		m.ids = append(m.ids, byte(id))
+	m := &Mux{Codebook: cb, reg: reg, pools: NewPools(reg, tmpl), scratch: map[ID]*sync.Pool{}}
+	for _, e := range cb.entries {
+		m.scratch[e.ID] = new(sync.Pool)
 	}
-	sort.Slice(m.served, func(i, j int) bool { return m.served[i].ID < m.served[j].ID })
-	sort.Slice(m.ids, func(i, j int) bool { return m.ids[i] < m.ids[j] })
+	m.front = serve.NewFront(cb, m.decode)
 	return m, nil
 }
 
-// Serves reports whether the mux serves the code.
-func (m *Mux) Serves(id ID) bool {
-	_, ok := m.FrameLen(byte(id))
-	return ok
-}
-
 // Served returns the served entries in ascending ID order.
-func (m *Mux) Served() []*Entry { return m.served }
+func (m *Mux) Served() []*Entry { return m.entries }
 
 // Pools returns the underlying per-code pools (for direct submission or
 // preloading).
 func (m *Mux) Pools() *Pools { return m.pools }
 
+// Front returns the mux's front door: its connection tracking, drain
+// and request counters.
+func (m *Mux) Front() *serve.Front { return m.front }
+
 // Preload builds every served code and pool up front, surfacing
 // construction errors at startup instead of on first traffic.
 func (m *Mux) Preload() error {
-	for _, e := range m.served {
+	for _, e := range m.entries {
 		if _, _, err := m.pools.Get(e.ID); err != nil {
 			return err
 		}
@@ -90,177 +77,55 @@ func (m *Mux) Preload() error {
 // Close drains and stops every built pool.
 func (m *Mux) Close() { m.pools.Close() }
 
-// DefaultID implements serve.Codebook: untagged v1 frames route to the
-// registry default (whether or not it is served; an unserved default
-// simply never length-matches, so v1 frames are rejected as malformed).
-func (m *Mux) DefaultID() byte { return byte(m.reg.DefaultID()) }
-
-// FrameLen implements serve.Codebook over the served subset.
-func (m *Mux) FrameLen(id byte) (int, bool) {
-	for _, e := range m.served {
-		if byte(e.ID) == id {
-			return e.FrameLen, true
-		}
-	}
-	return 0, false
-}
-
-// IDs implements serve.Codebook: the advertised served list.
-func (m *Mux) IDs() []byte { return m.ids }
-
-// connState is the per-connection, per-code buffer set: the expanded
-// inner LLR frame and the hard-decision vector, reused across frames so
-// a connection's steady state does not allocate.
-type connState struct {
-	q    []int16
-	bits *bitvec.Vector
-}
-
 // ServeConn answers v1/v2 decode requests on one connection, in order,
-// until the peer closes it. Malformed-but-framed requests (wrong
-// length, unknown tag) are answered in-band and the connection
-// continues; framing violations (truncation, oversize) terminate it.
-func (m *Mux) ServeConn(conn net.Conn) error {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 16<<10)
-	bw := bufio.NewWriterSize(conn, 16<<10)
-	states := map[ID]*connState{}
-	var rbuf, wbuf []byte
-	for {
-		var err error
-		rbuf, err = serve.ReadRawRequest(br, rbuf)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		id, raw, perr := serve.ParseRequest(rbuf, m)
-		if perr != nil {
-			switch {
-			case errors.Is(perr, serve.ErrUnknownCode):
-				m.unknown.Add(1)
-				wbuf, err = serve.WriteUnknownCode(bw, m.ids, wbuf)
-			default:
-				m.badFrames.Add(1)
-				wbuf, err = serve.WriteResponse(bw, serve.StatusBadFrame, ldpc.Result{}, wbuf)
-			}
-			if err != nil {
-				return err
-			}
-			if err = bw.Flush(); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(rbuf) == len(raw) {
-			m.v1Frames.Add(1)
-		} else {
-			m.v2Frames.Add(1)
-		}
-		srv, built, err := m.pools.Get(ID(id))
-		if err != nil {
-			// A pool that cannot build is a server fault, not a client
-			// one; report it transiently and keep the connection.
-			if wbuf, err = serve.WriteResponse(bw, serve.StatusInternal, ldpc.Result{}, wbuf); err != nil {
-				return err
-			}
-			if err = bw.Flush(); err != nil {
-				return err
-			}
-			continue
-		}
-		st, ok := states[ID(id)]
-		if !ok {
-			st = &connState{q: make([]int16, built.Code.N), bits: bitvec.New(built.Code.N)}
-			states[ID(id)] = st
-		}
-		wire := wireLLRs(raw)
-		confident := srv.Config().Params.Format.Max()
-		if err := built.ExpandQ(st.q, wire, confident); err != nil {
-			m.badFrames.Add(1)
-			if wbuf, err = serve.WriteResponse(bw, serve.StatusBadFrame, ldpc.Result{}, wbuf); err != nil {
-				return err
-			}
-			if err = bw.Flush(); err != nil {
-				return err
-			}
-			continue
-		}
-		res, derr := srv.DecodeQ(st.q, st.bits)
-		status := serve.StatusOK
-		switch {
-		case errors.Is(derr, serve.ErrOverloaded):
-			status = serve.StatusOverloaded
-		case errors.Is(derr, serve.ErrDeadline):
-			status = serve.StatusDeadline
-		case errors.Is(derr, serve.ErrClosed):
-			status = serve.StatusClosed
-		case errors.Is(derr, serve.ErrWorkerCrash):
-			status = serve.StatusInternal
-		case derr != nil:
-			status = serve.StatusBadFrame
-		}
-		if status != serve.StatusOK {
-			res = ldpc.Result{}
-		}
-		if wbuf, err = serve.WriteResponse(bw, status, res, wbuf); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	}
-}
+// until the peer closes it (see serve.Front.ServeConn).
+func (m *Mux) ServeConn(conn net.Conn) error { return m.front.ServeConn(conn) }
 
-// wireLLRs widens raw int8 wire bytes; scratch is per-call small and
-// reused by the compiler's stack allocation where possible.
-func wireLLRs(raw []byte) []int16 {
-	out := make([]int16, len(raw))
-	for j, b := range raw {
-		out[j] = int16(int8(b))
-	}
-	return out
-}
+// ServeListener serves every connection the listener accepts until it
+// closes, then waits for them to end (see serve.Front.ServeListener).
+func (m *Mux) ServeListener(l net.Listener) error { return m.front.ServeListener(l) }
 
-// ServeListener accepts connections and serves each on its own
-// goroutine until the listener closes, then waits for in-flight
-// connections.
-func (m *Mux) ServeListener(l net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = m.ServeConn(conn)
-		}()
+// decode is the mux's handler: it expands the frame onto its code's
+// inner codeword and decodes it on that code's pool before returning,
+// so each connection decodes one frame at a time and concurrency comes
+// from serving many connections.
+func (m *Mux) decode(req serve.Request, rep *serve.Reply) {
+	id := ID(req.Code)
+	srv, built, err := m.pools.Get(id)
+	if err != nil {
+		// A pool that cannot build is a server fault, not a client one;
+		// report it transiently and keep the connection.
+		rep.Result(serve.StatusInternal, ldpc.Result{})
+		return
 	}
-}
-
-// Healthy aggregates pool health: the mux is healthy while every built
-// pool is (an instance serving three codes well and one badly should
-// leave rotation — per-code breakers already shed compute first).
-func (m *Mux) Healthy() bool {
-	for _, ap := range m.pools.Active() {
-		if !ap.Server.Health().Status().Healthy {
-			return false
+	sp := m.scratch[id]
+	st, _ := sp.Get().(*frameScratch)
+	if st == nil {
+		st = &frameScratch{
+			wire: make([]int16, len(built.TxPositions)),
+			q:    make([]int16, built.Code.N),
+			bits: bitvec.New(built.Code.N),
 		}
 	}
-	return true
+	defer sp.Put(st)
+	err = serve.LLRsFromWire(st.wire, req.LLRs)
+	if err == nil {
+		err = built.ExpandQ(st.q, st.wire, srv.Config().Params.Format.Max())
+	}
+	if err != nil {
+		rep.Result(serve.StatusBadFrame, ldpc.Result{})
+		return
+	}
+	res, err := srv.DecodeQ(st.q, st.bits)
+	rep.Result(serve.StatusFor(err), res)
 }
 
 // HealthSnapshot aggregates the built pools' routable state into one
 // serve.HealthSnapshot — the instance-level view a /healthz handler
 // serves and a fleet poller consumes, so both read the same verdict.
-// Healthy requires every built pool healthy (matching Healthy());
+// Healthy requires every built pool healthy (an instance serving three
+// codes well and one badly should leave rotation — per-code breakers
+// already shed compute first);
 // Degraded reports any pool's tripped breaker (the router down-weights
 // the whole instance — frames hash by code, but pools share the
 // process's cores, so one degraded pool taxes them all); the load
@@ -312,28 +177,19 @@ type CodeSnapshot struct {
 	Serve   serve.Snapshot `json:"serve"`
 }
 
-// MuxSnapshot is the multi-mode server's instrumentation: the shared
-// routing counters plus every served code's pool metrics, broken out
-// per code the way BENCH_multimode reads them.
+// MuxSnapshot is the multi-mode server's instrumentation: the front
+// door's request counters plus every served code's pool metrics, broken
+// out per code the way BENCH_multimode reads them.
 type MuxSnapshot struct {
-	DefaultCode string         `json:"default_code"`
-	V1Frames    int64          `json:"v1_frames"`
-	V2Frames    int64          `json:"v2_frames"`
-	UnknownCode int64          `json:"unknown_code"`
-	BadFrames   int64          `json:"bad_frames"`
-	Healthy     bool           `json:"healthy"`
-	Codes       []CodeSnapshot `json:"codes"`
+	DefaultCode string `json:"default_code"`
+	serve.FrontCounts
+	Healthy bool           `json:"healthy"`
+	Codes   []CodeSnapshot `json:"codes"`
 }
 
 // Snapshot captures the mux and per-code pool metrics.
 func (m *Mux) Snapshot() MuxSnapshot {
-	s := MuxSnapshot{
-		V1Frames:    m.v1Frames.Load(),
-		V2Frames:    m.v2Frames.Load(),
-		UnknownCode: m.unknown.Load(),
-		BadFrames:   m.badFrames.Load(),
-		Healthy:     true,
-	}
+	s := MuxSnapshot{FrontCounts: m.front.Counts(), Healthy: true}
 	if d, ok := m.reg.Get(m.reg.DefaultID()); ok {
 		s.DefaultCode = d.Name
 	}
@@ -341,7 +197,7 @@ func (m *Mux) Snapshot() MuxSnapshot {
 	for _, ap := range m.pools.Active() {
 		active[ap.Entry.ID] = ap
 	}
-	for _, e := range m.served {
+	for _, e := range m.entries {
 		cs := CodeSnapshot{ID: byte(e.ID), Name: e.Name, N: e.N, K: e.NominalK, FrameLen: e.FrameLen}
 		if ap, ok := active[e.ID]; ok {
 			cs.Built = true

@@ -3,6 +3,8 @@ package registry
 import (
 	"bufio"
 	"net"
+	"os"
+	"strings"
 	"testing"
 
 	"ccsdsldpc/internal/bitvec"
@@ -175,7 +177,7 @@ func TestMuxLoopbackInterleaved(t *testing.T) {
 	defEntry, _ := reg.Get(reg.DefaultID())
 	send(makeFrame(t, defEntry, r))
 
-	if !m.Healthy() {
+	if !m.HealthSnapshot().Healthy {
 		t.Error("mux unhealthy after a clean run")
 	}
 	snap := m.Snapshot()
@@ -208,6 +210,112 @@ func TestMuxLoopbackInterleaved(t *testing.T) {
 		}
 		if cs.Serve.FramesDecoded != want {
 			t.Errorf("%s: %d frames decoded, want %d", e.Name, cs.Serve.FramesDecoded, want)
+		}
+	}
+}
+
+// skipUnderFuzzEngine skips allocation-count assertions in a test binary
+// started with an active -fuzz target, whose in-process coordinator
+// allocates concurrently with the unit tests (as in internal/batch).
+func skipUnderFuzzEngine(t *testing.T) {
+	t.Helper()
+	for _, a := range os.Args {
+		if strings.HasPrefix(a, "-test.fuzz=") && !strings.HasPrefix(a, "-test.fuzz=^$") {
+			t.Skip("allocation counts race with the in-process fuzz coordinator")
+		}
+	}
+}
+
+// bestAllocs warms run up and returns the fewest allocations per call
+// over three AllocsPerRun attempts, like internal/batch's guards: a
+// loaded box can land runtime-internal allocations inside one window,
+// but a path that really allocates does so on every attempt.
+func bestAllocs(run func()) float64 {
+	run()
+	best := testing.AllocsPerRun(10, run)
+	for try := 0; try < 2 && best != 0; try++ {
+		if a := testing.AllocsPerRun(10, run); a < best {
+			best = a
+		}
+	}
+	return best
+}
+
+// TestMuxConnZeroAlloc is the front door's zero-alloc guard: once warm,
+// a frame through Mux.ServeConn allocates nothing end to end — the
+// client's writer and reader, the connection's reader, parse, expand,
+// decode, reply ring and writer — for a v1 frame of the default code
+// and a v2 frame of a tagged one.
+func TestMuxConnZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	skipUnderFuzzEngine(t)
+	reg := Default()
+	m, err := NewMux(reg, []ID{C2, DS12}, serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = m.ServeConn(server)
+	}()
+	defer func() { client.Close(); <-done }()
+	bw := bufio.NewWriter(client)
+	br := bufio.NewReader(client)
+
+	r := rng.New(5)
+	for _, id := range []ID{C2, DS12} {
+		e, _ := reg.Get(id)
+		f := makeFrame(t, e, r)
+		bits := bitvec.New(e.N)
+		var wbuf, rbuf []byte
+		frame := func() {
+			var err error
+			if id == reg.DefaultID() {
+				wbuf, err = serve.WriteRequest(bw, f.wire, wbuf)
+			} else {
+				wbuf, err = serve.WriteRequestTagged(bw, byte(id), f.wire, wbuf)
+			}
+			if err == nil {
+				err = bw.Flush()
+			}
+			if err != nil {
+				t.Fatalf("%s: send: %v", e.Name, err)
+			}
+			var resp serve.Response
+			if resp, rbuf, err = serve.ReadResponse(br, bits, rbuf); err != nil || resp.Status != serve.StatusOK {
+				t.Fatalf("%s: status %d, err %v", e.Name, resp.Status, err)
+			}
+		}
+		if allocs := bestAllocs(frame); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per frame through the mux, want 0", e.Name, allocs)
+		}
+	}
+}
+
+// TestConstructorsRejectBadCodeLists: NewCodebook and NewMux refuse an
+// empty code list, an unregistered ID and a duplicate ID.
+func TestConstructorsRejectBadCodeLists(t *testing.T) {
+	reg := Default()
+	cases := []struct {
+		name string
+		ids  []ID
+	}{
+		{"empty", nil},
+		{"unregistered", []ID{C2, 99}},
+		{"duplicate", []ID{DS12, C2, DS12}},
+	}
+	for _, tc := range cases {
+		if _, err := NewCodebook(reg, tc.ids); err == nil {
+			t.Errorf("NewCodebook accepted the %s list %v", tc.name, tc.ids)
+		}
+		if m, err := NewMux(reg, tc.ids, serve.Config{}); err == nil {
+			m.Close()
+			t.Errorf("NewMux accepted the %s list %v", tc.name, tc.ids)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccsdsldpc/internal/bitvec"
+	"ccsdsldpc/internal/fixed"
 )
 
 // TestFramingEdgeCases feeds malformed wire images to the framing layer
@@ -19,7 +20,8 @@ func TestFramingEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
 		raw  []byte
-		// read decides which reader sees the bytes; default ReadRequest.
+		// read decides which reader sees the bytes; default
+		// ReadRawRequest + ParseRequest.
 		readResponse bool
 		want         error
 	}{
@@ -80,7 +82,10 @@ func TestFramingEdgeCases(t *testing.T) {
 			if tc.readResponse {
 				_, _, err = ReadResponse(r, bitvec.New(n), nil)
 			} else {
-				_, err = ReadRequest(r, make([]int16, n), nil)
+				var payload []byte
+				if payload, err = ReadRawRequest(r, nil); err == nil {
+					_, _, err = ParseRequest(payload, oneCode(n))
+				}
 			}
 			if !errors.Is(err, tc.want) {
 				t.Errorf("got %v, want %v", err, tc.want)
@@ -104,7 +109,7 @@ func TestFramingMidFrameClose(t *testing.T) {
 	}()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ReadRequest(server, make([]int16, n), nil)
+		_, err := ReadRawRequest(server, nil)
 		errc <- err
 	}()
 	select {
@@ -119,24 +124,54 @@ func TestFramingMidFrameClose(t *testing.T) {
 }
 
 // TestServeConnBadFrameLength: a well-framed request of the wrong
-// length must terminate the connection with the typed framing error —
-// the server neither panics nor keeps reading a desynchronized stream.
+// length is answered in-band with StatusBadFrame and the connection
+// keeps serving — a valid frame after it still decodes — while a
+// truncated frame ends the connection with the typed framing error.
 func TestServeConnBadFrameLength(t *testing.T) {
-	s := newTestServer(t, Config{Code: smallCode(t)})
+	c := smallCode(t)
+	p := fixed.DefaultHighSpeedParams()
+	s := newTestServer(t, Config{Code: c, Params: p, Workers: 1, Linger: time.Millisecond})
 	client, server := net.Pipe()
 	defer client.Close()
 	errc := make(chan error, 1)
-	go func() { errc <- s.ServeConn(server) }()
-	if err := writeMessage(client, make([]byte, 3)); err != nil {
+	go func() { errc <- decodeFront(s).ServeConn(server) }()
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+
+	if err := WriteRaw(client, make([]byte, 3)); err != nil {
 		t.Fatal(err)
 	}
+	bits := bitvec.New(c.N)
+	resp, _, err := ReadResponse(client, bits, nil)
+	if err != nil {
+		t.Fatalf("wrong-length frame: %v", err)
+	}
+	if resp.Status != StatusBadFrame {
+		t.Fatalf("wrong-length frame answered with status %d, want StatusBadFrame", resp.Status)
+	}
+
+	q := noisyQ(t, c, p.Format, 2.5, 77)
+	ref := scalarRef(t, c, p, [][]int16{q})[0]
+	if _, err := WriteRequest(client, q, nil); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _, err = ReadResponse(client, bits, nil); err != nil {
+		t.Fatalf("valid frame after the rejection: %v", err)
+	}
+	if resp.Status != StatusOK || !bits.Equal(ref.bits) || resp.Iterations != ref.iterations || resp.Converged != ref.converged {
+		t.Fatalf("valid frame after the rejection: status %d, decode differs from scalar reference", resp.Status)
+	}
+
+	// Declare a whole frame, deliver half, hang up.
+	client.Write([]byte{0, 0, 0, byte(c.N)})
+	client.Write(make([]byte, c.N/2))
+	client.Close()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrFrameLength) {
-			t.Errorf("ServeConn: got %v, want ErrFrameLength", err)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("ServeConn: got %v, want ErrTruncated", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeConn hung on a wrong-length frame")
+		t.Fatal("ServeConn hung on a truncated frame")
 	}
 }
 
@@ -150,7 +185,7 @@ func TestServeListenerGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- s.ServeListener(l) }()
+	go func() { done <- decodeFront(s).ServeListener(l) }()
 	for i := 0; i < 4; i++ {
 		conn, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"expvar"
 	"math/bits"
 	"sync/atomic"
 
@@ -221,11 +220,4 @@ func quantile(hist []int64, total int64, q float64) float64 {
 		}
 	}
 	return latencyBucketValue(len(hist) - 1)
-}
-
-// Publish registers the metrics under the given expvar name, making
-// them visible on the standard /debug/vars endpoint. Each name may be
-// published once per process (an expvar restriction).
-func (m *Metrics) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }

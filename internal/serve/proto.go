@@ -52,6 +52,26 @@ const (
 	StatusUnknownCode byte = 6 // v2 code tag not served here; advertised list follows
 )
 
+// StatusFor maps a DecodeQ outcome onto its response status: shed,
+// deadline, shutdown and a worker crash become the retryable statuses
+// clients already handle, and any other error a malformed frame.
+func StatusFor(err error) byte {
+	switch {
+	case err == nil:
+		return StatusOK
+	case errors.Is(err, ErrOverloaded):
+		return StatusOverloaded
+	case errors.Is(err, ErrDeadline):
+		return StatusDeadline
+	case errors.Is(err, ErrClosed):
+		return StatusClosed
+	case errors.Is(err, ErrWorkerCrash):
+		return StatusInternal
+	default:
+		return StatusBadFrame
+	}
+}
+
 // ProtoV2Magic is the version byte opening every code-tagged v2 request
 // payload.
 const ProtoV2Magic byte = 0x02
@@ -80,28 +100,34 @@ var (
 // bytes, so 1 MiB is generous for any supported code.
 const maxPayload = 1 << 20
 
-func writeMessage(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// frame sizes buf for an n-byte payload behind its 4-byte length
+// prefix, fills in the prefix and returns the whole message; the
+// payload goes in msg[4:].
+func frame(buf []byte, n int) []byte {
+	if cap(buf) < 4+n {
+		buf = make([]byte, 4+n)
 	}
-	_, err := w.Write(payload)
-	return err
+	buf = buf[:4+n]
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	return buf
 }
 
 // readMessage reads one length-prefixed payload into buf (growing it if
-// needed) and returns the payload slice. A clean EOF before the header
-// is returned as io.EOF; a truncated message is an error.
+// needed) and returns the payload slice. The prefix is read through buf
+// too, so a reused buffer makes the read allocation-free. A clean EOF
+// before the header is returned as io.EOF; a truncated message is an
+// error.
 func readMessage(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: connection closed inside the length prefix", ErrTruncated)
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > maxPayload {
 		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrOversized, n, maxPayload)
 	}
@@ -177,7 +203,13 @@ func ParseRequest(payload []byte, cb Codebook) (id byte, llrs []byte, err error)
 // request and response payloads between client and backend without
 // re-encoding them.
 func WriteRaw(w io.Writer, payload []byte) error {
-	return writeMessage(w, payload)
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 // ReadRawResponse reads one length-prefixed response payload without
@@ -203,104 +235,89 @@ func LLRsFromWire(dst []int16, raw []byte) error {
 // WriteRequestTagged sends one code-tagged (v2) frame of quantized
 // LLRs. Values are saturated into int8.
 func WriteRequestTagged(w io.Writer, id byte, q []int16, buf []byte) ([]byte, error) {
-	n := 2 + len(q)
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	buf[0] = ProtoV2Magic
-	buf[1] = id
-	for j, v := range q {
-		if v > 127 {
-			v = 127
-		} else if v < -128 {
-			v = -128
-		}
-		buf[2+j] = byte(int8(v))
-	}
-	return buf, writeMessage(w, buf)
+	buf = frame(buf, 2+len(q))
+	buf[4] = ProtoV2Magic
+	buf[5] = id
+	putLLRs(buf[6:], q)
+	_, err := w.Write(buf)
+	return buf, err
 }
 
 // WriteRequest sends one frame of quantized LLRs. Values are saturated
 // into int8.
 func WriteRequest(w io.Writer, q []int16, buf []byte) ([]byte, error) {
-	if cap(buf) < len(q) {
-		buf = make([]byte, len(q))
-	}
-	buf = buf[:len(q)]
+	buf = frame(buf, len(q))
+	putLLRs(buf[4:], q)
+	_, err := w.Write(buf)
+	return buf, err
+}
+
+// putLLRs saturates quantized LLRs into their int8 wire bytes.
+func putLLRs(dst []byte, q []int16) {
 	for j, v := range q {
 		if v > 127 {
 			v = 127
 		} else if v < -128 {
 			v = -128
 		}
-		buf[j] = byte(int8(v))
+		dst[j] = byte(int8(v))
 	}
-	return buf, writeMessage(w, buf)
-}
-
-// ReadRequest reads one frame into q, which fixes the expected frame
-// length. io.EOF at a message boundary is passed through as the clean
-// end of the request stream.
-func ReadRequest(r io.Reader, q []int16, buf []byte) ([]byte, error) {
-	buf, err := readMessage(r, buf)
-	if err != nil {
-		return buf, err
-	}
-	if len(buf) != len(q) {
-		return buf, fmt.Errorf("%w: %d-byte frame for code length %d", ErrFrameLength, len(buf), len(q))
-	}
-	for j, b := range buf {
-		q[j] = int16(int8(b))
-	}
-	return buf, nil
 }
 
 // WriteResponse sends a decode outcome. The hard decisions are taken
 // from res.Bits when status is StatusOK.
 func WriteResponse(w io.Writer, status byte, res ldpc.Result, buf []byte) ([]byte, error) {
+	buf = encodeResponse(buf, status, res)
+	_, err := w.Write(buf)
+	return buf, err
+}
+
+// encodeResponse frames a decode outcome in buf.
+func encodeResponse(buf []byte, status byte, res ldpc.Result) []byte {
 	n := 4
 	if status == StatusOK {
 		n += (res.Bits.Len() + 7) / 8
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	buf[0] = status
-	buf[1] = 0
+	buf = frame(buf, n)
+	p := buf[4:]
+	p[0] = status
+	p[1] = 0
 	if res.Converged {
-		buf[1] = 1
+		p[1] = 1
 	}
 	it := res.Iterations
 	if it < 0 || it > 0xFFFF {
 		it = 0xFFFF
 	}
-	binary.BigEndian.PutUint16(buf[2:4], uint16(it))
+	binary.BigEndian.PutUint16(p[2:4], uint16(it))
 	if status == StatusOK {
-		packBits(buf[4:], res.Bits)
+		packBits(p[4:], res.Bits)
 	}
-	return buf, writeMessage(w, buf)
+	return buf
 }
 
 // WriteUnknownCode sends a StatusUnknownCode response advertising the
 // server's served code IDs, so the client can fail fast instead of
 // retrying a permanently-failing frame.
 func WriteUnknownCode(w io.Writer, ids []byte, buf []byte) ([]byte, error) {
+	buf = encodeUnknownCode(buf, ids)
+	_, err := w.Write(buf)
+	return buf, err
+}
+
+// encodeUnknownCode frames a StatusUnknownCode response in buf.
+func encodeUnknownCode(buf []byte, ids []byte) []byte {
 	if len(ids) > 255 {
 		ids = ids[:255]
 	}
-	n := 4 + 1 + len(ids)
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	buf[0] = StatusUnknownCode
-	buf[1] = 0
-	binary.BigEndian.PutUint16(buf[2:4], 0)
-	buf[4] = byte(len(ids))
-	copy(buf[5:], ids)
-	return buf, writeMessage(w, buf)
+	buf = frame(buf, 4+1+len(ids))
+	p := buf[4:]
+	p[0] = StatusUnknownCode
+	p[1] = 0
+	binary.BigEndian.PutUint16(p[2:4], 0)
+	p[4] = byte(len(ids))
+	copy(p[5:], ids)
+	return buf
 }
 
 // Response is a decoded frame as seen by a client.

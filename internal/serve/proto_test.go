@@ -24,8 +24,16 @@ func TestProtoRequestRoundTrip(t *testing.T) {
 	if _, err := WriteRequest(&buf, q, nil); err != nil {
 		t.Fatal(err)
 	}
+	payload, err := ReadRawRequest(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, llrs, err := ParseRequest(payload, oneCode(len(q)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([]int16, len(q))
-	if _, err := ReadRequest(&buf, got, nil); err != nil {
+	if err := LLRsFromWire(got, llrs); err != nil {
 		t.Fatal(err)
 	}
 	for j := range q {
@@ -33,7 +41,7 @@ func TestProtoRequestRoundTrip(t *testing.T) {
 			t.Fatalf("LLR %d: %d != %d", j, got[j], q[j])
 		}
 	}
-	if _, err := ReadRequest(&buf, got, nil); err != io.EOF {
+	if _, err := ReadRawRequest(&buf, nil); err != io.EOF {
 		t.Fatalf("expected clean EOF, got %v", err)
 	}
 }
@@ -99,9 +107,9 @@ func TestProtoRejectsOversizeAndTruncated(t *testing.T) {
 	}
 }
 
-// TestTCPEndToEnd runs the full stack — listener, wire protocol,
-// scheduler, worker pool — with concurrent TCP clients and checks
-// every decode against the scalar reference.
+// TestTCPEndToEnd runs the full stack — listener, front door, wire
+// protocol, scheduler, worker pool — with concurrent TCP clients and
+// checks every decode against the scalar reference.
 func TestTCPEndToEnd(t *testing.T) {
 	c := smallCode(t)
 	p := fixed.DefaultHighSpeedParams()
@@ -111,7 +119,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.ServeListener(l) }()
+	go func() { serveDone <- decodeFront(s).ServeListener(l) }()
 
 	const clients, perClient = 6, 5
 	qs := make([][]int16, clients)

@@ -1,7 +1,6 @@
 package station
 
 import (
-	"expvar"
 	"sync/atomic"
 )
 
@@ -69,13 +68,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.CaduRejectFraction = float64(s.CadusRejected) / float64(t)
 	}
 	return s
-}
-
-// Publish registers the metrics under the given expvar name, making
-// them visible on the standard /debug/vars endpoint. Each name may be
-// published once per process (an expvar restriction).
-func (m *Metrics) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }
 
 // recordEvent folds a synchronizer transition into the counters.
