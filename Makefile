@@ -8,8 +8,9 @@ check:
 # SEU protection layer shared by every decoder, the cross-decoder fault
 # oracle that exercises the shard pool under injection, the batching
 # decode server with its scheduler and worker pool, the multi-code mux
-# with its lazily built per-code pools, the streaming station front end
-# whose group submissions fan out goroutine-per-frame into that server,
+# with its lazily built per-code pools and the completions its decode
+# workers run, the streaming station front end whose group submissions
+# keep a whole group in flight in that server,
 # and the fleet routing tier whose hedges, requeues and health-driven
 # ring rebuilds race against backend death.
 race:

@@ -365,7 +365,7 @@ func TestServeConnInOrder(t *testing.T) {
 	var reqs []req
 	for i := 0; i < 20; i++ {
 		reqs = append(reqs, req{v1Frame(1000 + i), serve.StatusOK})
-		reqs = append(reqs, req{v2Frame(2, 2000 + i), serve.StatusOK})
+		reqs = append(reqs, req{v2Frame(2, 2000+i), serve.StatusOK})
 	}
 	// A framed-but-malformed payload and an unserved tag, mid-stream.
 	reqs = append(reqs[:7], append([]req{

@@ -39,13 +39,13 @@ func FuzzFleetProto(f *testing.F) {
 	f.Add(frame(v1Frame(1)))
 	f.Add(frame(v2Frame(2, 1)))
 	f.Add(frame(v2Frame(7, 1)))
-	f.Add(frame(v2Frame(9, 1)))                      // unknown tag
-	f.Add(frame([]byte{serve.ProtoV2Magic, 2, 0}))   // wrong-length v2
-	f.Add(frame(nil))                                // empty payload
-	f.Add([]byte{0, 0, 0, 100, 1, 2, 3})             // truncated body
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // oversized declaration
-	f.Add([]byte{0, 0})                              // truncated prefix
-	f.Add(bytes.Join([][]byte{ // interleaved good/bad/good
+	f.Add(frame(v2Frame(9, 1)))                    // unknown tag
+	f.Add(frame([]byte{serve.ProtoV2Magic, 2, 0})) // wrong-length v2
+	f.Add(frame(nil))                              // empty payload
+	f.Add([]byte{0, 0, 0, 100, 1, 2, 3})           // truncated body
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})          // oversized declaration
+	f.Add([]byte{0, 0})                            // truncated prefix
+	f.Add(bytes.Join([][]byte{                     // interleaved good/bad/good
 		frame(v1Frame(2)), frame([]byte{9, 9, 9}), frame(v2Frame(2, 3)),
 	}, nil))
 

@@ -23,16 +23,38 @@ type Mux struct {
 	reg   *Registry
 	pools *Pools
 	front *serve.Front
-	// scratch holds, per served code, the buffers of frames being
-	// decoded: widened wire LLRs, the expanded inner frame and its hard
-	// decisions, reused across frames and connections.
-	scratch map[ID]*sync.Pool
+	// scratch holds each served code's buffer pools, reused across
+	// frames and connections.
+	scratch map[ID]*codeScratch
 }
 
-// frameScratch is one frame's decode buffers.
+// codeScratch is one code's buffer pools. A wire buffer (the frame's
+// LLRs widened to int16) is held only while the handler expands the
+// frame; a frameScratch is held until the frame is answered, so a frame
+// in flight holds only its expanded inner frame and hard decisions.
+type codeScratch struct {
+	wire   sync.Pool // *[]int16
+	frames sync.Pool // *frameScratch
+}
+
+// frameScratch is one frame's decode buffers and, while the frame is in
+// flight, its completion: the reply slot it answers and the pool it
+// returns to.
 type frameScratch struct {
-	wire, q []int16
-	bits    *bitvec.Vector
+	q    []int16
+	bits *bitvec.Vector
+	rep  *serve.Reply
+	pool *sync.Pool
+}
+
+// Complete answers the frame's reply slot, which copies the hard
+// decisions out, then recycles the buffers. The pool's decode worker
+// calls it, or Submit when the pool refuses the frame.
+func (st *frameScratch) Complete(res ldpc.Result, err error) {
+	rep := st.rep
+	st.rep = nil
+	rep.Result(serve.StatusFor(err), res)
+	st.pool.Put(st)
 }
 
 // NewMux builds a mux serving the given subset of the registry with
@@ -44,9 +66,9 @@ func NewMux(reg *Registry, served []ID, tmpl serve.Config) (*Mux, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mux{Codebook: cb, reg: reg, pools: NewPools(reg, tmpl), scratch: map[ID]*sync.Pool{}}
+	m := &Mux{Codebook: cb, reg: reg, pools: NewPools(reg, tmpl), scratch: map[ID]*codeScratch{}}
 	for _, e := range cb.entries {
-		m.scratch[e.ID] = new(sync.Pool)
+		m.scratch[e.ID] = new(codeScratch)
 	}
 	m.front = serve.NewFront(cb, m.decode)
 	return m, nil
@@ -86,9 +108,11 @@ func (m *Mux) ServeConn(conn net.Conn) error { return m.front.ServeConn(conn) }
 func (m *Mux) ServeListener(l net.Listener) error { return m.front.ServeListener(l) }
 
 // decode is the mux's handler: it expands the frame onto its code's
-// inner codeword and decodes it on that code's pool before returning,
-// so each connection decodes one frame at a time and concurrency comes
-// from serving many connections.
+// inner codeword in pooled scratch and submits it to that code's pool
+// with the scratch as its completion, then returns at once. The front
+// door reads the next request while the frame decodes, so one
+// connection keeps up to serve.Window frames in flight and a pipelining
+// client fills the pool's batches on its own.
 func (m *Mux) decode(req serve.Request, rep *serve.Reply) {
 	id := ID(req.Code)
 	srv, built, err := m.pools.Get(id)
@@ -98,26 +122,28 @@ func (m *Mux) decode(req serve.Request, rep *serve.Reply) {
 		rep.Result(serve.StatusInternal, ldpc.Result{})
 		return
 	}
-	sp := m.scratch[id]
-	st, _ := sp.Get().(*frameScratch)
+	cs := m.scratch[id]
+	wire, _ := cs.wire.Get().(*[]int16)
+	if wire == nil {
+		w := make([]int16, len(built.TxPositions))
+		wire = &w
+	}
+	st, _ := cs.frames.Get().(*frameScratch)
 	if st == nil {
-		st = &frameScratch{
-			wire: make([]int16, len(built.TxPositions)),
-			q:    make([]int16, built.Code.N),
-			bits: bitvec.New(built.Code.N),
-		}
+		st = &frameScratch{q: make([]int16, built.Code.N), bits: bitvec.New(built.Code.N), pool: &cs.frames}
 	}
-	defer sp.Put(st)
-	err = serve.LLRsFromWire(st.wire, req.LLRs)
+	err = serve.LLRsFromWire(*wire, req.LLRs)
 	if err == nil {
-		err = built.ExpandQ(st.q, st.wire, srv.Config().Params.Format.Max())
+		err = built.ExpandQ(st.q, *wire, srv.Config().Params.Format.Max())
 	}
+	cs.wire.Put(wire)
 	if err != nil {
+		cs.frames.Put(st)
 		rep.Result(serve.StatusBadFrame, ldpc.Result{})
 		return
 	}
-	res, err := srv.DecodeQ(st.q, st.bits)
-	rep.Result(serve.StatusFor(err), res)
+	st.rep = rep
+	srv.Submit(st.q, st.bits, st)
 }
 
 // HealthSnapshot aggregates the built pools' routable state into one

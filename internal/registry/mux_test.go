@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ccsdsldpc/internal/bitvec"
 	"ccsdsldpc/internal/fixed"
@@ -241,11 +242,63 @@ func bestAllocs(run func()) float64 {
 	return best
 }
 
+// muxClient is the client end of one mux connection over net.Pipe.
+type muxClient struct {
+	t          *testing.T
+	reg        *Registry
+	bw         *bufio.Writer
+	br         *bufio.Reader
+	wbuf, rbuf []byte
+}
+
+// serveMuxPipe serves one net.Pipe connection on m until the test ends.
+func serveMuxPipe(t *testing.T, m *Mux, reg *Registry) *muxClient {
+	t.Helper()
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = m.ServeConn(server)
+	}()
+	t.Cleanup(func() { client.Close(); <-done })
+	return &muxClient{t: t, reg: reg, bw: bufio.NewWriter(client), br: bufio.NewReader(client)}
+}
+
+// send writes one frame, untagged for the default code and tagged
+// otherwise, and flushes.
+func (c *muxClient) send(f muxFrame) {
+	c.t.Helper()
+	var err error
+	if f.entry.ID == c.reg.DefaultID() {
+		c.wbuf, err = serve.WriteRequest(c.bw, f.wire, c.wbuf)
+	} else {
+		c.wbuf, err = serve.WriteRequestTagged(c.bw, byte(f.entry.ID), f.wire, c.wbuf)
+	}
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.t.Fatalf("%s: send: %v", f.entry.Name, err)
+	}
+}
+
+// recv reads the next response into bits.
+func (c *muxClient) recv(bits *bitvec.Vector) serve.Response {
+	c.t.Helper()
+	resp, rbuf, err := serve.ReadResponse(c.br, bits, c.rbuf)
+	c.rbuf = rbuf
+	if err != nil {
+		c.t.Fatalf("read response: %v", err)
+	}
+	return resp
+}
+
 // TestMuxConnZeroAlloc is the front door's zero-alloc guard: once warm,
 // a frame through Mux.ServeConn allocates nothing end to end — the
 // client's writer and reader, the connection's reader, parse, expand,
-// decode, reply ring and writer — for a v1 frame of the default code
-// and a v2 frame of a tagged one.
+// submit, decode, reply ring and writer — for a v1 frame of the default
+// code and a v2 frame of a tagged one, sent one at a time and pipelined
+// eight deep.
 func TestMuxConnZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -257,43 +310,137 @@ func TestMuxConnZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = m.ServeConn(server)
-	}()
-	defer func() { client.Close(); <-done }()
-	bw := bufio.NewWriter(client)
-	br := bufio.NewReader(client)
+	c := serveMuxPipe(t, m, reg)
 
 	r := rng.New(5)
 	for _, id := range []ID{C2, DS12} {
 		e, _ := reg.Get(id)
 		f := makeFrame(t, e, r)
 		bits := bitvec.New(e.N)
-		var wbuf, rbuf []byte
-		frame := func() {
-			var err error
-			if id == reg.DefaultID() {
-				wbuf, err = serve.WriteRequest(bw, f.wire, wbuf)
-			} else {
-				wbuf, err = serve.WriteRequestTagged(bw, byte(id), f.wire, wbuf)
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
-				t.Fatalf("%s: send: %v", e.Name, err)
-			}
-			var resp serve.Response
-			if resp, rbuf, err = serve.ReadResponse(br, bits, rbuf); err != nil || resp.Status != serve.StatusOK {
-				t.Fatalf("%s: status %d, err %v", e.Name, resp.Status, err)
+		recv := func() {
+			if resp := c.recv(bits); resp.Status != serve.StatusOK {
+				t.Fatalf("%s: status %d", e.Name, resp.Status)
 			}
 		}
-		if allocs := bestAllocs(frame); allocs != 0 {
+		serial := func() {
+			c.send(f)
+			recv()
+		}
+		const depth = 8
+		pipelined := func() {
+			for i := 0; i < depth; i++ {
+				c.send(f)
+			}
+			for i := 0; i < depth; i++ {
+				recv()
+			}
+		}
+		if allocs := bestAllocs(serial); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per frame through the mux, want 0", e.Name, allocs)
 		}
+		if allocs := bestAllocs(pipelined) / depth; allocs != 0 {
+			t.Errorf("%s: %.2f allocations per frame pipelined %d deep, want 0", e.Name, allocs, depth)
+		}
+	}
+}
+
+// TestMuxPipelinesConnection: frames a client writes before reading any
+// reply are decoded together. Eight C2 frames on one connection, with a
+// one-worker pool lingering a full second, must leave as one 8-frame
+// batch — not eight 1-frame batches, one per linger — and come back in
+// order, bit-exact.
+func TestMuxPipelinesConnection(t *testing.T) {
+	reg := Default()
+	m, err := NewMux(reg, []ID{C2}, serve.Config{Workers: 1, Linger: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	c := serveMuxPipe(t, m, reg)
+
+	e, _ := reg.Get(C2)
+	r := rng.New(17)
+	frames := make([]muxFrame, 8)
+	for i := range frames {
+		frames[i] = makeFrame(t, e, r)
+		c.send(frames[i])
+	}
+	for i, f := range frames {
+		bits := bitvec.New(e.N)
+		resp := c.recv(bits)
+		if resp.Status != serve.StatusOK || !resp.Converged {
+			t.Fatalf("answer %d: status %d, converged %v", i, resp.Status, resp.Converged)
+		}
+		if !bits.Equal(f.cw) {
+			t.Fatalf("answer %d is not frame %d's codeword: out of order or not bit-exact", i, i)
+		}
+	}
+	srv, _, err := m.Pools().Get(C2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Metrics().Snapshot()
+	if snap.Batches != 1 || snap.BatchFill[7] != 1 {
+		t.Errorf("%d batches, fill %v: want one 8-frame batch", snap.Batches, snap.BatchFill)
+	}
+}
+
+// TestMuxCloseAnswersInFlight: frames in flight on a connection when
+// Mux.Close runs are each answered — decoded, or refused as closed —
+// before ServeConn returns.
+func TestMuxCloseAnswersInFlight(t *testing.T) {
+	reg := Default()
+	m, err := NewMux(reg, []ID{C2}, serve.Config{Workers: 1, Linger: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- m.ServeConn(server) }()
+	c := &muxClient{t: t, reg: reg, bw: bufio.NewWriter(client), br: bufio.NewReader(client)}
+
+	e, _ := reg.Get(C2)
+	r := rng.New(23)
+	const n = 12
+	frames := make([]muxFrame, n)
+	for i := range frames {
+		frames[i] = makeFrame(t, e, r)
+		c.send(frames[i])
+	}
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	decoded := 0
+	for i, f := range frames {
+		bits := bitvec.New(e.N)
+		switch resp := c.recv(bits); resp.Status {
+		case serve.StatusOK:
+			if !bits.Equal(f.cw) {
+				t.Fatalf("answer %d is not frame %d's codeword", i, i)
+			}
+			decoded++
+		case serve.StatusClosed:
+		default:
+			t.Fatalf("answer %d: status %d", i, resp.Status)
+		}
+	}
+	<-closed
+	client.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("ServeConn: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeConn did not return after the client closed")
+	}
+	if snap := m.Snapshot(); snap.Codes[0].Serve.FramesDecoded != int64(decoded) {
+		t.Errorf("pool decoded %d frames, client received %d", snap.Codes[0].Serve.FramesDecoded, decoded)
 	}
 }
 

@@ -60,7 +60,7 @@ func (w *rateWindow) totals() (total, failed int64) {
 // sustained bad service, while a brief blip inside the window should
 // not flap the instance.
 //
-// A sample is recorded per completed DecodeQ: failure means shed,
+// A sample is recorded per frame answered or shed: failure means shed,
 // deadline exceeded, decode error, or an unconverged result. The
 // healthy/unhealthy transition is hysteretic: the instance trips
 // unhealthy when the windowed failure rate reaches the trip threshold

@@ -52,11 +52,11 @@ var ErrOverloaded = errors.New("serve: overloaded, frame queue full")
 var ErrClosed = errors.New("serve: server closed")
 
 // ErrDeadline reports that an accepted frame did not start decoding
-// within Config.Deadline: the caller is released and the frame is
-// dropped from its batch undecoded. A frame a worker claims before the
-// deadline fires is decoded and delivered normally, so the deadline
-// bounds queueing delay — the variable, load-dependent part of the
-// latency — not an in-flight decode.
+// within Config.Deadline: the frame is dropped from its batch
+// undecoded. A frame a worker claims before the deadline is decoded and
+// delivered normally, so the deadline bounds queueing delay — the
+// variable, load-dependent part of the latency — not an in-flight
+// decode.
 var ErrDeadline = errors.New("serve: decode deadline exceeded")
 
 // ErrWorkerCrash reports that the worker decoding the frame's batch
@@ -109,9 +109,12 @@ type Config struct {
 	// 4 × Workers × MaxBatch).
 	QueueDepth int
 	// Deadline bounds how long a frame may wait to start decoding; 0
-	// disables. An expired frame is dropped from its batch and its
-	// caller gets ErrDeadline; a frame a worker claims first is decoded
-	// and delivered even if that lands slightly past the deadline.
+	// disables. A worker that claims a frame older than the deadline
+	// answers it ErrDeadline without decoding it, and it counts in
+	// FramesDeadline; a frame claimed in time is decoded and delivered
+	// even if that lands past the deadline. A DecodeQ caller also races
+	// a timer and is released with ErrDeadline at the deadline itself;
+	// a Submit caller learns of it when the frame reaches a worker.
 	Deadline time.Duration
 	// HealthWindow is the sliding window of the decode-failure-rate
 	// health signal (default 30s); HealthThreshold the failure rate at
@@ -264,23 +267,51 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// request is one in-flight frame. Requests are pooled; the done channel
-// (capacity 1) is reused across lives.
-//
-// claimed arbitrates the request's single ownership hand-off under
-// deadlines: whichever side wins the CompareAndSwap — the worker
-// finishing the decode or the caller timing out — takes the request's
-// fate. The worker sends done only after winning; a caller that wins
-// walks away and the worker recycles the request instead, so the pooled
-// done channel can never carry a stale signal into a later life.
+// Completion receives the outcome of one frame given to Submit. Its
+// Complete is called exactly once per Submit: inline on the submitting
+// goroutine when the frame is refused (a malformed frame,
+// ErrOverloaded, ErrClosed), otherwise on the worker goroutine that
+// decoded or dropped it. Complete runs on the decode path, so it must
+// not block; on success res.Bits is the bits vector given to Submit (a
+// fresh one if that was nil).
+type Completion interface {
+	Complete(res ldpc.Result, err error)
+}
+
+// request is one accepted frame. Requests are pooled and owned by the
+// server from enqueue to delivery: the worker recycles each one it
+// receives, and callers never touch a request after enqueueing it.
 type request struct {
-	q       []int16        // caller's quantized LLRs; not retained after decode
-	bits    *bitvec.Vector // destination; nil → allocated by the decoder
+	q    []int16        // caller's quantized LLRs; not retained after decode
+	bits *bitvec.Vector // destination; nil → allocated by the decoder
+	enq  time.Time
+	c    Completion
+}
+
+// waiter is DecodeQ's completion: it parks the outcome for the blocked
+// caller. Waiters are pooled; the done channel (capacity 1) is reused
+// across lives.
+//
+// claimed arbitrates the waiter's single ownership hand-off under
+// deadlines: whichever side wins the CompareAndSwap — the worker
+// claiming the frame for its batch or the caller timing out — takes
+// the frame's fate. A worker that wins delivers the outcome and the
+// caller recycles the waiter after receiving it; a caller that wins
+// walks away and the worker drops the lane and recycles the waiter
+// instead, so the pooled done channel can never carry a stale signal
+// into a later life and no decode writes into the bits of a caller
+// that has returned.
+type waiter struct {
 	res     ldpc.Result
 	err     error
-	enq     time.Time
 	done    chan struct{}
 	claimed atomic.Bool
+}
+
+// Complete parks the outcome and wakes the DecodeQ caller.
+func (w *waiter) Complete(res ldpc.Result, err error) {
+	w.res, w.err = res, err
+	w.done <- struct{}{}
 }
 
 // job is one dispatched batch. Jobs are pooled; the request array is
@@ -293,7 +324,7 @@ type job struct {
 }
 
 // Server is the decode service. Create with New, submit frames with
-// DecodeQ from any number of goroutines, stop with Close.
+// DecodeQ or Submit from any number of goroutines, stop with Close.
 type Server struct {
 	cfg     Config
 	graph   *ldpc.Graph                     // retained for rebuilding crashed workers' decoders
@@ -304,8 +335,9 @@ type Server struct {
 	health  *Health
 	breaker *Breaker
 
-	reqPool sync.Pool
-	jobPool sync.Pool
+	reqPool    sync.Pool
+	waiterPool sync.Pool
+	jobPool    sync.Pool
 
 	mu     sync.RWMutex // guards closed vs. sends on in
 	closed bool
@@ -351,7 +383,8 @@ func New(cfg Config) (*Server, error) {
 		breaker: nil, // bound below, after metrics exists
 	}
 	s.breaker = newBreaker(cfg.BreakerWindow, cfg.BreakerTrip, cfg.BreakerRecover, cfg.BreakerMinSamples, s.metrics)
-	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
+	s.reqPool.New = func() any { return new(request) }
+	s.waiterPool.New = func() any { return &waiter{done: make(chan struct{}, 1)} }
 	s.jobPool.New = func() any { return new(job) }
 	s.batcherWG.Add(1)
 	go s.batcher()
@@ -385,16 +418,63 @@ func (s *Server) Breaker() *Breaker { return s.breaker }
 // a nil error means the frame was decoded (Result.Converged still
 // distinguishes decoding success).
 func (s *Server) DecodeQ(q []int16, bits *bitvec.Vector) (ldpc.Result, error) {
+	w := s.waiterPool.Get().(*waiter)
+	w.claimed.Store(false)
+	if err := s.enqueue(q, bits, w); err != nil {
+		s.waiterPool.Put(w)
+		return ldpc.Result{}, err
+	}
+	if s.cfg.Deadline > 0 {
+		timer := time.NewTimer(s.cfg.Deadline)
+		select {
+		case <-w.done:
+			timer.Stop()
+		case <-timer.C:
+			if w.claimed.CompareAndSwap(false, true) {
+				// No worker has claimed the frame: abandon it. The
+				// worker that eventually receives the batch loses the
+				// claim, skips the lane and recycles the waiter.
+				s.metrics.framesDeadline.Add(1)
+				s.health.Record(false)
+				return ldpc.Result{}, ErrDeadline
+			}
+			// A worker claimed the frame first: it is being decoded
+			// and done is imminent — a completion, not a timeout.
+			<-w.done
+		}
+	} else {
+		<-w.done
+	}
+	res, err := w.res, w.err
+	w.res, w.err = ldpc.Result{}, nil
+	s.waiterPool.Put(w)
+	return res, err
+}
+
+// Submit queues one frame like DecodeQ but returns at once: the frame's
+// outcome arrives through c, exactly once (see Completion). The caller
+// must leave q and bits alone until then. A steady-state Submit
+// allocates nothing, so a caller that keeps many frames in flight —
+// a pipelined connection, a group of frames — fills the scheduler's
+// batches without a goroutine per frame.
+func (s *Server) Submit(q []int16, bits *bitvec.Vector, c Completion) {
+	if err := s.enqueue(q, bits, c); err != nil {
+		c.Complete(ldpc.Result{}, err)
+	}
+}
+
+// enqueue validates a frame and queues it with its completion, or
+// returns why it was refused without calling the completion.
+func (s *Server) enqueue(q []int16, bits *bitvec.Vector, c Completion) error {
 	if len(q) != s.cfg.Code.N {
-		return ldpc.Result{}, fmt.Errorf("serve: frame has %d LLRs for code length %d", len(q), s.cfg.Code.N)
+		return fmt.Errorf("serve: frame has %d LLRs for code length %d", len(q), s.cfg.Code.N)
 	}
 	if bits != nil && bits.Len() != s.cfg.Code.N {
-		return ldpc.Result{}, fmt.Errorf("serve: bit vector length %d for code length %d", bits.Len(), s.cfg.Code.N)
+		return fmt.Errorf("serve: bit vector length %d for code length %d", bits.Len(), s.cfg.Code.N)
 	}
 	req := s.reqPool.Get().(*request)
-	req.q, req.bits, req.res, req.err = q, bits, ldpc.Result{}, nil
+	req.q, req.bits, req.c = q, bits, c
 	req.enq = time.Now()
-	req.claimed.Store(false)
 
 	// The read lock makes the closed check and the send atomic with
 	// respect to Close, which closes s.in under the write lock: no
@@ -402,57 +482,34 @@ func (s *Server) DecodeQ(q []int16, bits *bitvec.Vector) (ldpc.Result, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		s.reqPool.Put(req)
-		return ldpc.Result{}, ErrClosed
+		s.recycle(req)
+		return ErrClosed
 	}
 	select {
 	case s.in <- req:
 		s.metrics.framesIn.Add(1)
 		s.metrics.queued.Add(1)
 		s.mu.RUnlock()
+		return nil
 	default:
 		s.mu.RUnlock()
 		s.metrics.framesShed.Add(1)
 		s.health.Record(false)
-		s.reqPool.Put(req)
-		return ldpc.Result{}, ErrOverloaded
+		s.recycle(req)
+		return ErrOverloaded
 	}
+}
 
-	if s.cfg.Deadline > 0 {
-		timer := time.NewTimer(s.cfg.Deadline)
-		select {
-		case <-req.done:
-			timer.Stop()
-		case <-timer.C:
-			if req.claimed.CompareAndSwap(false, true) {
-				// No worker has claimed the frame: abandon it. The
-				// worker that eventually receives the batch sees the
-				// claim, skips the lane and recycles the request.
-				s.metrics.framesDeadline.Add(1)
-				s.health.Record(false)
-				return ldpc.Result{}, ErrDeadline
-			}
-			// A worker claimed the frame first: it is being decoded
-			// and done is imminent — a completion, not a timeout.
-			<-req.done
-		}
-	} else {
-		<-req.done
-	}
-	res, err := req.res, req.err
-	s.metrics.recordLatency(time.Since(req.enq).Microseconds())
-	s.health.Record(err == nil && res.Converged)
-	// The breaker sees decode outcomes only (not shed/deadline, which
-	// measure load, not decoder damage).
-	s.breaker.Record(err == nil && res.Converged)
-	req.q, req.bits, req.res.Bits = nil, nil, nil
+// recycle returns a request to its pool without its references.
+func (s *Server) recycle(req *request) {
+	req.q, req.bits, req.c = nil, nil, nil
 	s.reqPool.Put(req)
-	return res, err
 }
 
 // Close stops accepting frames, decodes everything already accepted and
-// waits for the workers to finish. It is idempotent; concurrent DecodeQ
-// callers either complete normally or return ErrClosed.
+// waits for the workers to finish, so every accepted frame's completion
+// has run when it returns. It is idempotent; concurrent submissions
+// either complete normally or are refused with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -527,15 +584,9 @@ func (s *Server) batcher() {
 // batches. The result and frame-slice arrays live on the worker, so the
 // decode path performs no allocation.
 //
-// Each frame is claimed before decoding: a lane whose caller already
-// abandoned it on deadline is dropped from the batch and its request
-// recycled, so the worker never writes into memory a released caller
-// may be reusing. Winning the claim commits the worker to delivering
-// the result — the matching caller-side CAS then waits for done.
-//
 // A panic inside a batch (a decoder bug, or — in the radiation-test
 // frame of this codebase — an injected crash) is confined to that
-// batch: every claimed frame's caller receives ErrWorkerCrash, the
+// batch: every claimed frame is answered ErrWorkerCrash, the
 // possibly-corrupt decoder is discarded for a freshly built one, and
 // the worker goroutine keeps serving. The server never crashes and no
 // claimed frame is ever lost.
@@ -545,8 +596,19 @@ func (s *Server) worker(id int, dec *batch.Parallel) {
 	var res [batch.MaxFrames]ldpc.Result
 	var qs [batch.MaxFrames][]int16
 	for j := range s.jobs {
-		if !s.runJob(id, dec, j, &res, &qs) {
-			s.metrics.workerRestarts.Add(1)
+		k := s.claim(j, &res, &qs)
+		if k == 0 {
+			s.jobPool.Put(j)
+			continue
+		}
+		err := s.decode(id, dec, res[:k], qs[:k])
+		now := time.Now()
+		for i := 0; i < k; i++ {
+			s.deliver(j.reqs[i], res[i], err, now)
+			res[i], qs[i], j.reqs[i] = ldpc.Result{}, nil, nil
+		}
+		s.jobPool.Put(j)
+		if errors.Is(err, ErrWorkerCrash) {
 			if d, err := s.newDec(); err == nil {
 				dec.Close() // shard goroutines survive a coordinator panic; release them
 				dec = d
@@ -559,20 +621,36 @@ func (s *Server) worker(id int, dec *batch.Parallel) {
 	}
 }
 
-// runJob claims and decodes one dispatched batch, delivering a result
-// to every claimed frame. It reports ok=false after confining a panic,
-// in which case the decoder must be considered corrupt.
-func (s *Server) runJob(id int, dec *batch.Parallel, j *job, res *[batch.MaxFrames]ldpc.Result, qs *[batch.MaxFrames][]int16) (ok bool) {
+// claim takes ownership of a dispatched batch's frames, compacting the
+// ones to decode to the front of j.reqs, res and qs, and returns their
+// number. A lane whose DecodeQ caller already abandoned it on deadline
+// is dropped and its waiter recycled, so the worker never writes into
+// memory a released caller may be reusing; a frame that waited longer
+// than Config.Deadline is answered ErrDeadline undecoded.
+func (s *Server) claim(j *job, res *[batch.MaxFrames]ldpc.Result, qs *[batch.MaxFrames][]int16) int {
 	n := j.n
+	j.n = 0
+	var now time.Time
+	if s.cfg.Deadline > 0 {
+		now = time.Now()
+	}
 	k := 0
 	for i := 0; i < n; i++ {
 		req := j.reqs[i]
 		j.reqs[i] = nil
-		if !req.claimed.CompareAndSwap(false, true) {
-			// Deadline expired while the frame was queued: the
-			// caller is gone, skip the lane and recycle.
-			req.q, req.bits = nil, nil
-			s.reqPool.Put(req)
+		if w, ok := req.c.(*waiter); ok && !w.claimed.CompareAndSwap(false, true) {
+			// The caller timed out while the frame was queued and has
+			// counted it; skip the lane and recycle.
+			s.recycle(req)
+			s.waiterPool.Put(w)
+			continue
+		}
+		if s.cfg.Deadline > 0 && now.Sub(req.enq) > s.cfg.Deadline {
+			s.metrics.framesDeadline.Add(1)
+			s.health.Record(false)
+			c := req.c
+			s.recycle(req)
+			c.Complete(ldpc.Result{}, ErrDeadline)
 			continue
 		}
 		j.reqs[k] = req
@@ -581,61 +659,56 @@ func (s *Server) runJob(id int, dec *batch.Parallel, j *job, res *[batch.MaxFram
 		k++
 	}
 	s.metrics.pending.Add(-int64(n))
-	delivered := 0
+	return k
+}
+
+// decode runs one batch on the worker's decoder. A panic is confined
+// here: the crash is counted, the results are cleared and
+// ErrWorkerCrash is returned, after which the decoder must be
+// considered corrupt.
+func (s *Server) decode(id int, dec *batch.Parallel, res []ldpc.Result, qs [][]int16) (err error) {
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			s.metrics.workerRestarts.Add(1)
+			s.metrics.framesCrashed.Add(int64(len(res)))
+			clear(res)
+			err = fmt.Errorf("%w (worker %d: %v)", ErrWorkerCrash, id, r)
 		}
-		// Deliver the crash to every claimed frame still owed a result;
-		// the claim CAS committed us to it, and the callers' retry is
-		// how the frames survive.
-		crashErr := fmt.Errorf("%w (worker %d: %v)", ErrWorkerCrash, id, r)
-		for i := delivered; i < k; i++ {
-			req := j.reqs[i]
-			req.res, req.err = ldpc.Result{}, crashErr
-			res[i] = ldpc.Result{}
-			qs[i] = nil
-			j.reqs[i] = nil
-			req.done <- struct{}{}
-		}
-		s.metrics.framesCrashed.Add(int64(k - delivered))
-		j.n = 0
-		s.jobPool.Put(j)
 	}()
-	if k > 0 {
-		// Degraded mode: under a tripped breaker the batch runs the
-		// reduced iteration budget. The budget is sticky per decoder
-		// and adjusted only on transitions.
-		want := s.cfg.Params.MaxIterations
-		if s.breaker.Degraded() {
-			want = s.cfg.DegradedIterations
-		}
-		if dec.MaxIterations() != want {
-			_ = dec.SetMaxIterations(want) // only fails for n < 1; want ≥ 1 by validation
-		}
-		if hook := s.cfg.panicHook; hook != nil {
-			hook(id)
-		}
-		err := dec.DecodeQInto(res[:k], qs[:k])
-		var iters int64
-		if err == nil {
-			for i := 0; i < k; i++ {
-				iters += int64(res[i].Iterations)
-			}
-		}
-		s.metrics.recordBatch(id, k, iters)
-		for i := 0; i < k; i++ {
-			req := j.reqs[i]
-			req.res, req.err = res[i], err
-			res[i] = ldpc.Result{}
-			qs[i] = nil
-			j.reqs[i] = nil
-			req.done <- struct{}{}
-			delivered++
+	// Degraded mode: under a tripped breaker the batch runs the reduced
+	// iteration budget. The budget is sticky per decoder and adjusted
+	// only on transitions.
+	want := s.cfg.Params.MaxIterations
+	if s.breaker.Degraded() {
+		want = s.cfg.DegradedIterations
+	}
+	if dec.MaxIterations() != want {
+		_ = dec.SetMaxIterations(want) // only fails for n < 1; want ≥ 1 by validation
+	}
+	if hook := s.cfg.panicHook; hook != nil {
+		hook(id)
+	}
+	err = dec.DecodeQInto(res, qs)
+	var iters int64
+	if err == nil {
+		for i := range res {
+			iters += int64(res[i].Iterations)
 		}
 	}
-	j.n = 0
-	s.jobPool.Put(j)
-	return true
+	s.metrics.recordBatch(id, len(res), iters)
+	return err
+}
+
+// deliver records a claimed frame's outcome — latency, health and the
+// breaker, which sees decode outcomes only (not shed or deadline, which
+// measure load, not decoder damage) — recycles its request and hands
+// the outcome to its completion.
+func (s *Server) deliver(req *request, res ldpc.Result, err error, now time.Time) {
+	ok := err == nil && res.Converged
+	s.metrics.recordLatency(now.Sub(req.enq).Microseconds())
+	s.health.Record(ok)
+	s.breaker.Record(ok)
+	c := req.c
+	s.recycle(req)
+	c.Complete(res, err)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"ccsdsldpc/internal/bitvec"
@@ -14,44 +15,54 @@ import (
 // aligned frames in bursts at line rate; submitting the burst as one
 // group fills the scheduler's lanes immediately instead of paying the
 // linger deadline per frame, and — unlike DecodeQ — a full queue is
-// backpressure, not load shedding: ErrOverloaded is retried internally
-// with the configured linger as the backoff, because a telemetry stream
-// has nowhere to shed to. ErrClosed and validation errors remain
-// terminal and are reported per frame.
+// backpressure, not load shedding: a frame refused with ErrOverloaded
+// is resubmitted after the configured linger as the backoff, because a
+// telemetry stream has nowhere to shed to. ErrClosed and validation
+// errors remain terminal and are reported per frame.
 //
 // bits may be nil, or have one (possibly nil) destination vector per
 // frame with the same semantics as DecodeQ.
 func (s *Server) DecodeQMulti(qs [][]int16, bits []*bitvec.Vector) ([]ldpc.Result, []error) {
 	res := make([]ldpc.Result, len(qs))
 	errs := make([]error, len(qs))
-	if len(qs) == 0 {
-		return res, errs
-	}
 	backoff := s.cfg.Linger
 	if backoff <= 0 {
 		backoff = 100 * time.Microsecond
 	}
-	done := make(chan int, len(qs))
+	var left sync.WaitGroup
+	left.Add(len(qs))
+	frames := make([]groupFrame, len(qs))
 	for i := range qs {
-		go func(i int) {
-			var bv *bitvec.Vector
-			if bits != nil {
-				bv = bits[i]
-			}
-			for {
-				r, err := s.DecodeQ(qs[i], bv)
-				if errors.Is(err, ErrOverloaded) {
-					time.Sleep(backoff)
-					continue
-				}
-				res[i], errs[i] = r, err
-				done <- i
-				return
-			}
-		}(i)
+		f := &frames[i]
+		*f = groupFrame{res: &res[i], err: &errs[i], left: &left}
+		var bv *bitvec.Vector
+		if bits != nil {
+			bv = bits[i]
+		}
+		err := s.enqueue(qs[i], bv, f)
+		for errors.Is(err, ErrOverloaded) {
+			time.Sleep(backoff)
+			err = s.enqueue(qs[i], bv, f)
+		}
+		if err != nil {
+			f.Complete(ldpc.Result{}, err)
+		}
 	}
-	for range qs {
-		<-done
-	}
+	left.Wait()
 	return res, errs
+}
+
+// groupFrame is one DecodeQMulti frame's completion: it stores the
+// outcome at the frame's position and counts the group down.
+type groupFrame struct {
+	res  *ldpc.Result
+	err  *error
+	left *sync.WaitGroup
+}
+
+// Complete stores the outcome and releases the frame's share of the
+// group.
+func (f *groupFrame) Complete(res ldpc.Result, err error) {
+	*f.res, *f.err = res, err
+	f.left.Done()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -72,5 +73,41 @@ func TestDecodeQMultiBackpressure(t *testing.T) {
 	}
 	if shed := s.Metrics().Snapshot().FramesShed; shed == 0 {
 		t.Fatal("a 24-frame group over a depth-2 queue never hit the overload path")
+	}
+}
+
+// TestDecodeQMultiTerminalErrors: a malformed frame fails at its own
+// position while the rest of the group decodes, and after Close every
+// frame of a group is refused with ErrClosed instead of retried.
+func TestDecodeQMultiTerminalErrors(t *testing.T) {
+	c := smallCode(t)
+	p := fixed.DefaultHighSpeedParams()
+	s := newTestServer(t, Config{Code: c, Params: p, Workers: 1, Linger: time.Millisecond})
+	qs := make([][]int16, 5)
+	for i := range qs {
+		qs[i] = noisyQ(t, c, p.Format, 3.0, uint64(800+i))
+	}
+	ref := scalarRef(t, c, p, qs)
+	qs[2] = qs[2][:c.N-1]
+	res, errs := s.DecodeQMulti(qs, nil)
+	for i := range qs {
+		switch {
+		case i == 2:
+			if errs[i] == nil || errors.Is(errs[i], ErrOverloaded) {
+				t.Fatalf("short frame: %v, want a validation error", errs[i])
+			}
+		case errs[i] != nil:
+			t.Fatalf("frame %d: %v", i, errs[i])
+		case !res[i].Bits.Equal(ref[i].bits):
+			t.Fatalf("frame %d: bits differ from scalar decoder", i)
+		}
+	}
+
+	s.Close()
+	_, errs = s.DecodeQMulti(qs[:2], nil)
+	for i, err := range errs {
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("frame %d after Close: %v, want ErrClosed", i, err)
+		}
 	}
 }
