@@ -16,9 +16,14 @@
 // The HTTP listener exposes fleet-wide observability:
 //
 //	/metrics     the fleet snapshot as JSON — routing, loss, requeue,
-//	             hedge and budget counters plus per-backend state
-//	/healthz     200 while at least one backend is routable, else 503
+//	             hedge and budget counters, p50/p90/p99 latency of
+//	             answered frames, and per-backend state
+//	/healthz     the same snapshot: 200 while at least one backend is
+//	             routable, else 503
 //	/debug/vars  the same snapshot through expvar
+//
+// The endpoints are serve.HTTPMux, the surface ldpcserver and
+// ldpcstation serve too.
 //
 // On SIGTERM or SIGINT the router drains like ldpcserver: open client
 // connections get until -timeout to end and are then closed (at once
@@ -35,10 +40,7 @@
 package main
 
 import (
-	"encoding/json"
-	"expvar"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -50,6 +52,7 @@ import (
 
 	"ccsdsldpc/internal/fleet"
 	"ccsdsldpc/internal/registry"
+	"ccsdsldpc/internal/serve"
 )
 
 func main() {
@@ -129,27 +132,9 @@ func main() {
 	log.Printf("fleet endpoint on %s", l.Addr())
 
 	if *httpAddr != "" {
-		r.Metrics().Publish("ldpcfleet")
-		hmux := http.NewServeMux()
-		hmux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(r.Metrics().Snapshot()); err != nil {
-				http.Error(w, fmt.Sprintf("encode: %v", err), http.StatusInternalServerError)
-			}
-		})
-		hmux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			s := r.Metrics().Snapshot()
-			w.Header().Set("Content-Type", "application/json")
-			if !s.Healthy {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(s)
-		})
-		hmux.Handle("/debug/vars", expvar.Handler())
+		hmux := serve.HTTPMux("ldpcfleet",
+			func() any { return r.Metrics().Snapshot() },
+			func() (any, bool) { s := r.Metrics().Snapshot(); return s, s.Healthy })
 		hl, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			log.Fatal(err)

@@ -62,10 +62,8 @@ import (
 
 	"ccsdsldpc/internal/bitvec"
 	"ccsdsldpc/internal/channel"
-	"ccsdsldpc/internal/code"
 	"ccsdsldpc/internal/fixed"
 	"ccsdsldpc/internal/frame"
-	"ccsdsldpc/internal/hwsim"
 	"ccsdsldpc/internal/registry"
 	"ccsdsldpc/internal/rng"
 	"ccsdsldpc/internal/serve"
@@ -177,7 +175,7 @@ func main() {
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		PaperMbps:       560,
 	}
-	if mbps, err := modelMbps(*iters); err != nil {
+	if mbps, err := throughput.HighSpeedMbps(*iters); err != nil {
 		log.Printf("model: %v", err)
 	} else {
 		report.ModelMbps = mbps
@@ -212,14 +210,12 @@ func main() {
 		report.ServerPerCode = perCodeServer(before, after)
 		log.Printf("server: batch fill mean %.2f over the loaded phase, %d shed", report.BatchFillMean, report.ServerShed)
 	} else if *metrics != "" {
-		if m, err := fetchMetrics(*metrics); err != nil {
+		if raw, snap, err := fetchMetrics(*metrics); err != nil {
 			log.Printf("metrics: %v", err)
 		} else {
-			report.ServerMetrics = m
-			if v, ok := m["batch_fill_mean"].(float64); ok {
-				report.BatchFillMean = v
-				log.Printf("server: cumulative batch fill mean %.2f", v)
-			}
+			report.ServerMetrics = raw
+			report.BatchFillMean = phaseFillMean(registry.MuxSnapshot{}, snap)
+			log.Printf("server: cumulative batch fill mean %.2f", report.BatchFillMean)
 		}
 	}
 	if report.BaselineSeq != nil && report.BaselineSeq.FPS > 0 {
@@ -334,7 +330,7 @@ type Report struct {
 	BatchFillMean float64                  `json:"batch_fill_mean,omitempty"`
 	ServerShed    int64                    `json:"server_shed,omitempty"`
 	ServerPerCode map[string]ServerPerCode `json:"server_per_code,omitempty"`
-	ServerMetrics map[string]any           `json:"server_metrics,omitempty"`
+	ServerMetrics json.RawMessage          `json:"server_metrics,omitempty"`
 
 	ModelMbps float64 `json:"model_mbps,omitempty"`
 	PaperMbps float64 `json:"paper_highspeed_mbps_18iters"`
@@ -681,35 +677,21 @@ func snapshotByName(s registry.MuxSnapshot) map[string]registry.CodeSnapshot {
 	return out
 }
 
-func fetchMetrics(url string) (map[string]any, error) {
+// fetchMetrics reads a server's /metrics body, verbatim and as the mux
+// snapshot it embeds.
+func fetchMetrics(url string) (json.RawMessage, registry.MuxSnapshot, error) {
+	var snap registry.MuxSnapshot
 	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return nil, snap, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return nil, err
+		return nil, snap, err
 	}
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, err
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return nil, snap, err
 	}
-	return m, nil
-}
-
-// modelMbps mirrors ldpcserver's analytical comparison point (the C2
-// code's high-speed figure).
-func modelMbps(iters int) (float64, error) {
-	c, err := code.CCSDS()
-	if err != nil {
-		return 0, err
-	}
-	cfg := hwsim.HighSpeed()
-	cfg.Iterations = iters
-	m, err := hwsim.New(c, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return throughput.MachineMbps(m, c)
+	return body, snap, nil
 }

@@ -15,19 +15,21 @@
 // carrying the advertised list. cmd/ldpcload is the reference client;
 // cmd/ldpcinfo prints the catalog.
 //
-// A second, HTTP listener exposes observability:
+// A second, HTTP listener exposes observability (serve.HTTPMux, the
+// surface ldpcfleet and ldpcstation serve too):
 //
 //	/metrics     live counters as JSON, broken out per code — frames
 //	             decoded/shed/deadlined, queue depth, batch-fill
 //	             histogram and mean, p50/p90/p99 latency — plus the
-//	             v1/v2/unknown routing counters and the analytical
-//	             throughput model for the default code
-//	/healthz     a serve.HealthSnapshot JSON body: 200 while every
-//	             built pool's sliding-window failure rate is below
-//	             threshold, 503 otherwise or while draining — the
-//	             load-balancer rotation signal, and exactly what a
-//	             fleet router's HTTPProbe consumes
-//	/debug/vars  the same snapshot through expvar
+//	             v1/v2/unknown routing counters, the payload rate
+//	             decoded since start and the analytical throughput
+//	             model for the default code
+//	/healthz     a serve.HealthSnapshot JSON body plus a draining
+//	             flag: 200 while every built pool's sliding-window
+//	             failure rate is below threshold, 503 otherwise or
+//	             while draining — the load-balancer rotation signal,
+//	             and exactly what a fleet router's HTTPProbe consumes
+//	/debug/vars  the /metrics object through expvar
 //	/debug/pprof CPU/heap/goroutine profiling — only with -pprof, so a
 //	             production instance does not expose profiling by
 //	             default
@@ -47,8 +49,6 @@
 package main
 
 import (
-	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -62,9 +62,7 @@ import (
 	"syscall"
 	"time"
 
-	"ccsdsldpc/internal/code"
 	"ccsdsldpc/internal/fixed"
-	"ccsdsldpc/internal/hwsim"
 	"ccsdsldpc/internal/registry"
 	"ccsdsldpc/internal/serve"
 	"ccsdsldpc/internal/throughput"
@@ -136,13 +134,7 @@ func main() {
 	var draining atomic.Bool
 
 	if *httpAddr != "" {
-		expvar.Publish("ldpcserver", expvar.Func(func() any { return m.Snapshot() }))
-		// A private mux, not http.DefaultServeMux: nothing is exposed
-		// that is not registered here, so pprof stays off unless asked.
-		hmux := http.NewServeMux()
-		hmux.HandleFunc("/metrics", metricsHandler(m, *iters))
-		hmux.HandleFunc("/healthz", healthHandler(m, &draining))
-		hmux.Handle("/debug/vars", expvar.Handler())
+		hmux := serve.HTTPMux("ldpcserver", metrics(m, *iters), healthz(m, &draining))
 		if *pprofOn {
 			hmux.HandleFunc("/debug/pprof/", pprof.Index)
 			hmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -195,86 +187,57 @@ func main() {
 		snap.V1Frames, snap.V2Frames, snap.UnknownCode, snap.BadFrames)
 }
 
-// metricsHandler serves the live mux snapshot — per-code pool counters
-// plus routing totals — next to the analytical model for the default
-// code, so measured Mbps can be read against the paper's high-speed
-// figure without a separate tool.
-func metricsHandler(m *registry.Mux, iters int) http.HandlerFunc {
-	start := time.Now()
-	return func(w http.ResponseWriter, r *http.Request) {
-		snap := m.Snapshot()
-		elapsed := time.Since(start).Seconds()
-		out := struct {
-			registry.MuxSnapshot
-			UptimeSeconds    float64 `json:"uptime_seconds"`
-			MeasuredMbps     float64 `json:"measured_mbps"`
-			ModelMbps        float64 `json:"model_mbps,omitempty"`
-			ModelError       string  `json:"model_error,omitempty"`
-			PaperMbps18Iters float64 `json:"paper_highspeed_mbps_18iters"`
-		}{
-			MuxSnapshot:      snap,
-			UptimeSeconds:    elapsed,
-			PaperMbps18Iters: 560,
-		}
-		if elapsed > 0 {
-			var bits float64
-			for _, cs := range snap.Codes {
-				bits += float64(cs.Serve.FramesDecoded) * float64(cs.K)
-			}
-			out.MeasuredMbps = bits / elapsed / 1e6
-		}
-		if mbps, err := modelMbps(iters); err != nil {
-			out.ModelError = err.Error()
-		} else {
-			out.ModelMbps = mbps
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			http.Error(w, fmt.Sprintf("encode: %v", err), http.StatusInternalServerError)
-		}
-	}
-}
-
-// healthHandler is the load-balancer probe and the fleet router's HTTP
-// probe body: a serve.HealthSnapshot aggregated across the built pools,
-// served 200 while healthy and 503 once any pool's windowed failure
-// rate crosses threshold — or the instance is draining, which is the
-// rotation-exit signal that turns a shutdown into a reroute instead of
-// an error burst.
-func healthHandler(m *registry.Mux, draining *atomic.Bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// healthz returns the /healthz body source: the mux's aggregated
+// serve.HealthSnapshot — what a fleet router's HTTPProbe decodes — with
+// a draining flag. Draining reads unhealthy, so a shutdown turns into a
+// reroute instead of an error burst.
+func healthz(m *registry.Mux, draining *atomic.Bool) func() (any, bool) {
+	return func() (any, bool) {
 		out := struct {
 			serve.HealthSnapshot
 			Draining bool `json:"draining"`
-		}{HealthSnapshot: m.HealthSnapshot(), Draining: draining.Load()}
-		if out.Draining {
-			out.Healthy = false
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if !out.Healthy {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
+		}{m.HealthSnapshot(), draining.Load()}
+		out.Healthy = out.Healthy && !out.Draining
+		return out, out.Healthy
 	}
 }
 
-// modelMbps is the analytical high-speed throughput of the C2 code at
-// the server's iteration count — the hardware figure the measured rate
-// is judged against.
-func modelMbps(iters int) (float64, error) {
-	c, err := code.CCSDS()
-	if err != nil {
-		return 0, err
+// metrics returns the /metrics object source: the live mux snapshot —
+// per-code pool counters plus routing totals — next to the analytical
+// model for the default code, computed once, so measured Mbps can be
+// read against the paper's high-speed figure without a separate tool.
+// Measured Mbps counts payload bits, as ldpcload does.
+func metrics(m *registry.Mux, iters int) func() any {
+	type report struct {
+		registry.MuxSnapshot
+		UptimeSeconds    float64 `json:"uptime_seconds"`
+		MeasuredMbps     float64 `json:"measured_mbps"`
+		ModelMbps        float64 `json:"model_mbps,omitempty"`
+		ModelError       string  `json:"model_error,omitempty"`
+		PaperMbps18Iters float64 `json:"paper_highspeed_mbps_18iters"`
 	}
-	cfg := hwsim.HighSpeed()
-	cfg.Iterations = iters
-	m, err := hwsim.New(c, cfg)
-	if err != nil {
-		return 0, err
+	base := report{PaperMbps18Iters: 560}
+	if mbps, err := throughput.HighSpeedMbps(iters); err != nil {
+		base.ModelError = err.Error()
+	} else {
+		base.ModelMbps = mbps
 	}
-	return throughput.MachineMbps(m, c)
+	start := time.Now()
+	return func() any {
+		out := base
+		out.MuxSnapshot = m.Snapshot()
+		out.UptimeSeconds = time.Since(start).Seconds()
+		payloadBits := map[byte]int{}
+		for _, ap := range m.Pools().Active() {
+			payloadBits[byte(ap.Entry.ID)] = ap.Built.PayloadBits()
+		}
+		var bits float64
+		for _, cs := range out.Codes {
+			bits += float64(cs.Serve.FramesDecoded) * float64(payloadBits[cs.ID])
+		}
+		if out.UptimeSeconds > 0 {
+			out.MeasuredMbps = bits / out.UptimeSeconds / 1e6
+		}
+		return out
+	}
 }

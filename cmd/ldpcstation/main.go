@@ -17,6 +17,12 @@
 // throughput, re-lock latency in symbols, CADU loss rate — into
 // BENCH_station.json.
 //
+// With -http the run is observable over HTTP (serve.HTTPMux, the
+// surface ldpcserver and ldpcfleet serve too): /metrics is the report
+// of the scenarios graded so far, /healthz the decode pool's
+// serve.HealthSnapshot (503 once its failure rate trips), and
+// /debug/vars the report through expvar.
+//
 // Usage:
 //
 //	ldpcstation [-code c2] [-frames 40] [-ebn0 5] [-qpsk] [-seed 1]
@@ -29,10 +35,10 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -70,7 +76,7 @@ func main() {
 		lockThr  = flag.Float64("lock", 0, "synchronizer lock threshold (0 = default)")
 		trackThr = flag.Float64("track", 0, "synchronizer track threshold (0 = default)")
 		jsonPath = flag.String("json", "", "write the report as JSON to this file")
-		httpAddr = flag.String("http", "", "serve /debug/vars with the live report on this address")
+		httpAddr = flag.String("http", "", "serve /metrics, /healthz and /debug/vars with the live report on this address")
 	)
 	flag.Parse()
 
@@ -134,18 +140,16 @@ func main() {
 	}
 	var mu sync.Mutex
 	if *httpAddr != "" {
-		expvar.Publish("station", expvar.Func(func() any {
-			mu.Lock()
-			defer mu.Unlock()
-			buf, _ := json.Marshal(report)
-			var v any
-			json.Unmarshal(buf, &v)
-			return v
-		}))
-		go func() {
-			log.Printf("expvar on http://%s/debug/vars", *httpAddr)
-			log.Print(http.ListenAndServe(*httpAddr, nil))
-		}()
+		hl, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("metrics on http://%s/metrics", hl.Addr())
+		hmux := serve.HTTPMux("station",
+			// Scenarios only ever grow, so a shallow copy is consistent.
+			func() any { mu.Lock(); defer mu.Unlock(); return *report },
+			func() (any, bool) { hs := srv.HealthSnapshot(); return hs, hs.Healthy })
+		go func() { log.Print(http.Serve(hl, hmux)) }()
 	}
 
 	dec := station.PoolDecode(built, srv, p.Format)

@@ -308,13 +308,14 @@ func (r *Router) Submit(codeID byte, payload []byte) ([]byte, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
 	}
+	start := time.Now()
+	r.metrics.framesIn.Add(1)
 	if r.inflight.Add(1) > int64(r.cfg.MaxInflight) {
 		r.inflight.Add(-1)
 		r.metrics.shedUpstream.Add(1)
 		return nil, ErrOverloaded
 	}
 	defer r.inflight.Add(-1)
-	r.metrics.framesIn.Add(1)
 
 	seq := r.counter.Add(1)
 	c := &call{
@@ -340,7 +341,7 @@ func (r *Router) Submit(codeID byte, payload []byte) ([]byte, error) {
 		select {
 		case <-c.done:
 			if c.err == nil {
-				r.metrics.framesCompleted.Add(1)
+				r.metrics.completed(start)
 				if len(c.resp) > 0 && c.resp[0] == serve.StatusOK {
 					r.budget.success()
 				}
@@ -365,7 +366,7 @@ func (r *Router) Submit(codeID byte, payload []byte) ([]byte, error) {
 			// An attempt won the race to completion; take its outcome.
 			<-c.done
 			if c.err == nil {
-				r.metrics.framesCompleted.Add(1)
+				r.metrics.completed(start)
 			}
 			return c.resp, c.err
 		}

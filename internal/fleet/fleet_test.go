@@ -341,6 +341,11 @@ func TestSubmitRoutesAcrossBackends(t *testing.T) {
 	if s.FramesLost != 0 || s.Requeues != 0 {
 		t.Errorf("lost=%d requeues=%d on a healthy fleet", s.FramesLost, s.Requeues)
 	}
+	// Every answered frame is timed: quantiles of n round trips.
+	if l := s.Latency; l.LatencyP50Micros <= 0 || l.LatencyP50Micros > l.LatencyP90Micros || l.LatencyP90Micros > l.LatencyP99Micros {
+		t.Errorf("latency quantiles %+v after %d answered frames", l, n)
+	}
+	assertBalanced(t, s)
 }
 
 // TestServeConnInOrder pipelines a mixed stream — valid frames, a
@@ -529,7 +534,7 @@ func TestDrainAndReadmit(t *testing.T) {
 	var aHealthy, aDegraded atomic.Bool
 	aHealthy.Store(true)
 	probeA := SnapshotProbe(func() serve.HealthSnapshot {
-		return serve.HealthSnapshot{Healthy: aHealthy.Load(), Degraded: aDegraded.Load()}
+		return serve.HealthSnapshot{Healthy: aHealthy.Load(), Counts: serve.Counts{Degraded: aDegraded.Load()}}
 	})
 	r := testRouter(t, Config{
 		PollInterval: 10 * time.Millisecond,
@@ -638,52 +643,85 @@ func TestHedgeRacesStraggler(t *testing.T) {
 // TestOverloadSheds saturates a tiny router over a blackhole backend:
 // beyond MaxInflight the router must shed upstream immediately, and
 // every admitted frame must resolve by its deadline — nothing blocks
-// forever, nothing panics.
+// forever, nothing panics. Frames shed at the cap still count as frames
+// in, so the counters balance whether the cap or the backend queue
+// sheds.
 func TestOverloadSheds(t *testing.T) {
-	a := newFakeBackend(t)
-	a.mode.Store(modeBlackhole)
-	r := testRouter(t, Config{
-		ConnsPerBackend: 1,
-		PipelineDepth:   2,
-		MaxInflight:     4,
-		RequestTimeout:  400 * time.Millisecond,
-	}, backendOf("a", a, nil))
+	for _, tc := range []struct {
+		name                  string
+		pipeline, maxInflight int
+		// capOnly: the backend queue holds every admitted frame, so
+		// the cap alone sheds and every admitted frame times out.
+		capOnly bool
+	}{
+		{"queue", 2, 4, false},
+		{"cap", 8, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newFakeBackend(t)
+			a.mode.Store(modeBlackhole)
+			r := testRouter(t, Config{
+				ConnsPerBackend: 1,
+				PipelineDepth:   tc.pipeline,
+				MaxInflight:     tc.maxInflight,
+				RequestTimeout:  400 * time.Millisecond,
+			}, backendOf("a", a, nil))
 
-	const n = 8
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = r.Submit(0, v1Frame(i))
-		}(i)
+			const n = 8
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = r.Submit(0, v1Frame(i))
+				}(i)
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			var overloaded, deadline int
+			for i, err := range errs {
+				switch {
+				case errors.Is(err, ErrOverloaded):
+					overloaded++
+				case errors.Is(err, ErrDeadline):
+					deadline++
+				default:
+					t.Errorf("frame %d: %v, want overloaded or deadline", i, err)
+				}
+			}
+			if overloaded < n-tc.maxInflight {
+				t.Errorf("%d frames shed, want >= %d beyond MaxInflight", overloaded, n-tc.maxInflight)
+			}
+			if overloaded+deadline != n {
+				t.Errorf("overloaded=%d deadline=%d, want %d total", overloaded, deadline, n)
+			}
+			if elapsed > 2*time.Second {
+				t.Errorf("saturated submits took %v, want prompt shed/deadline", elapsed)
+			}
+			s := r.Metrics().Snapshot()
+			if s.ShedUpstream == 0 {
+				t.Error("ShedUpstream = 0")
+			}
+			if tc.capOnly && (s.ShedUpstream != int64(n-tc.maxInflight) || s.FramesDeadline != int64(tc.maxInflight)) {
+				t.Errorf("shed %d deadline %d, want %d and %d", s.ShedUpstream, s.FramesDeadline, n-tc.maxInflight, tc.maxInflight)
+			}
+			if s.FramesIn != n {
+				t.Errorf("FramesIn = %d, want all %d submissions", s.FramesIn, n)
+			}
+			assertBalanced(t, s)
+		})
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var overloaded, deadline int
-	for i, err := range errs {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			overloaded++
-		case errors.Is(err, ErrDeadline):
-			deadline++
-		default:
-			t.Errorf("frame %d: %v, want overloaded or deadline", i, err)
-		}
-	}
-	if overloaded < n-4 {
-		t.Errorf("%d frames shed, want >= %d beyond MaxInflight", overloaded, n-4)
-	}
-	if overloaded+deadline != n {
-		t.Errorf("overloaded=%d deadline=%d, want %d total", overloaded, deadline, n)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("saturated submits took %v, want prompt shed/deadline", elapsed)
-	}
-	if s := r.Metrics().Snapshot(); s.ShedUpstream == 0 {
-		t.Error("ShedUpstream = 0")
+}
+
+// assertBalanced checks, with the router idle, that every frame in has
+// exactly one outcome.
+func assertBalanced(t *testing.T, s Snapshot) {
+	t.Helper()
+	if out := s.FramesCompleted + s.FramesLost + s.FramesDeadline + s.ShedUpstream; out != s.FramesIn {
+		t.Errorf("frames in %d != completed %d + lost %d + deadline %d + shed upstream %d",
+			s.FramesIn, s.FramesCompleted, s.FramesLost, s.FramesDeadline, s.ShedUpstream)
 	}
 }
 
@@ -735,6 +773,7 @@ func TestRetryBudgetBoundsLoss(t *testing.T) {
 	if s.BudgetDenied == 0 {
 		t.Error("BudgetDenied = 0, want denials once the budget drained")
 	}
+	assertBalanced(t, s)
 }
 
 // TestGoroutineLeak runs the full lifecycle — routed traffic, a client

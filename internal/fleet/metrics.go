@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"expvar"
 	"sync/atomic"
+	"time"
 
 	"ccsdsldpc/internal/serve"
 )
@@ -13,7 +13,7 @@ import (
 type Metrics struct {
 	r *Router
 
-	framesIn        atomic.Int64 // submissions accepted for routing
+	framesIn        atomic.Int64 // submissions to an open router
 	framesRouted    atomic.Int64 // submissions that found a backend
 	framesCompleted atomic.Int64 // submissions answered with a backend response
 	framesLost      atomic.Int64 // reported lost after connection death
@@ -23,9 +23,18 @@ type Metrics struct {
 	requeues     atomic.Int64 // frames moved to another backend (loss or shed)
 	hedges       atomic.Int64 // duplicate attempts raced for latency
 	budgetDenied atomic.Int64 // retry/hedge requests the budget refused
+
+	latency serve.Histogram // Submit entry to backend response, completed frames
 }
 
 func newMetrics(r *Router) *Metrics { return &Metrics{r: r} }
+
+// completed counts a frame answered with a backend response that
+// entered Submit at start.
+func (m *Metrics) completed(start time.Time) {
+	m.framesCompleted.Add(1)
+	m.latency.Record(time.Since(start).Microseconds())
+}
 
 // BackendSnapshot is one backend's routing view.
 type BackendSnapshot struct {
@@ -57,12 +66,17 @@ type Snapshot struct {
 	ActiveBackends int  `json:"active_backends"`
 	RingPoints     int  `json:"ring_points"`
 
+	// At idle FramesIn = FramesCompleted + FramesLost + FramesDeadline
+	// + ShedUpstream.
 	FramesIn        int64 `json:"frames_in"`
 	FramesRouted    int64 `json:"frames_routed"`
 	FramesCompleted int64 `json:"frames_completed"`
 	FramesLost      int64 `json:"frames_lost"`
 	FramesDeadline  int64 `json:"frames_deadline"`
 	ShedUpstream    int64 `json:"shed_upstream"`
+	// Latency is the completed frames' time from Submit to the backend
+	// response, retries and hedges included.
+	serve.Latency
 	// FrontCounts classifies the client requests the front door read.
 	serve.FrontCounts
 
@@ -88,6 +102,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		FramesLost:        m.framesLost.Load(),
 		FramesDeadline:    m.framesDeadline.Load(),
 		ShedUpstream:      m.shedUpstream.Load(),
+		Latency:           m.latency.Latency(),
 		FrontCounts:       r.front.Counts(),
 		Requeues:          m.requeues.Load(),
 		Hedges:            m.hedges.Load(),
@@ -126,9 +141,4 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.Healthy = s.ActiveBackends > 0
 	return s
-}
-
-// Publish registers the fleet snapshot under the given expvar name.
-func (m *Metrics) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }

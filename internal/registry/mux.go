@@ -151,11 +151,10 @@ func (m *Mux) decode(req serve.Request, rep *serve.Reply) {
 // serves and a fleet poller consumes, so both read the same verdict.
 // Healthy requires every built pool healthy (an instance serving three
 // codes well and one badly should leave rotation — per-code breakers
-// already shed compute first);
+// already shed compute first); the counts sum across pools, and
 // Degraded reports any pool's tripped breaker (the router down-weights
 // the whole instance — frames hash by code, but pools share the
-// process's cores, so one degraded pool taxes them all); the load
-// counters sum across pools.
+// process's cores, so one degraded pool taxes them all).
 func (m *Mux) HealthSnapshot() serve.HealthSnapshot {
 	agg := serve.HealthSnapshot{Healthy: true}
 	// The aggregate failure rate weights each pool by its sample count;
@@ -163,25 +162,11 @@ func (m *Mux) HealthSnapshot() serve.HealthSnapshot {
 	var failed float64
 	for _, ap := range m.pools.Active() {
 		hs := ap.Server.HealthSnapshot()
-		if !hs.Healthy {
-			agg.Healthy = false
-		}
-		if hs.Degraded {
-			agg.Degraded = true
-		}
+		agg.Healthy = agg.Healthy && hs.Healthy
+		agg.Counts.Add(hs.Counts)
 		agg.Samples += hs.Samples
-		agg.BreakerTrips += hs.BreakerTrips
-		agg.QueueDepth += hs.QueueDepth
-		agg.InFlight += hs.InFlight
-		agg.FramesIn += hs.FramesIn
-		agg.FramesDecoded += hs.FramesDecoded
-		agg.FramesShed += hs.FramesShed
-		agg.FramesDeadline += hs.FramesDeadline
-		agg.FramesCrashed += hs.FramesCrashed
 		failed += hs.FailureRate * float64(hs.Samples)
-		if hs.WindowSecs > agg.WindowSecs {
-			agg.WindowSecs = hs.WindowSecs
-		}
+		agg.WindowSecs = max(agg.WindowSecs, hs.WindowSecs)
 	}
 	if agg.Samples > 0 {
 		agg.FailureRate = failed / float64(agg.Samples)
@@ -228,7 +213,7 @@ func (m *Mux) Snapshot() MuxSnapshot {
 		if ap, ok := active[e.ID]; ok {
 			cs.Built = true
 			cs.K = ap.Built.Code.K
-			cs.Healthy = ap.Server.Health().Status().Healthy
+			cs.Healthy = ap.Server.HealthSnapshot().Healthy
 			cs.Serve = ap.Server.Metrics().Snapshot()
 			if !cs.Healthy {
 				s.Healthy = false

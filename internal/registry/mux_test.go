@@ -213,6 +213,14 @@ func TestMuxLoopbackInterleaved(t *testing.T) {
 			t.Errorf("%s: %d frames decoded, want %d", e.Name, cs.Serve.FramesDecoded, want)
 		}
 	}
+	// The instance's health counts are the sum of its pools' counts.
+	var sum serve.Counts
+	for _, ap := range m.Pools().Active() {
+		sum.Add(ap.Server.Metrics().Snapshot().Counts)
+	}
+	if hs := m.HealthSnapshot(); hs.Counts != sum || sum.FramesIn != wantV1+wantV2 {
+		t.Errorf("health counts %+v, want the pools' sum %+v with %d frames in", hs.Counts, sum, wantV1+wantV2)
+	}
 }
 
 // skipUnderFuzzEngine skips allocation-count assertions in a test binary

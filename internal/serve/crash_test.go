@@ -127,7 +127,7 @@ func TestWorkerPanicRepeatedly(t *testing.T) {
 
 // TestBreakerDegradesAndRecoversEndToEnd: sustained undecodable traffic
 // trips the breaker; the worker pool drops to the degraded iteration
-// budget (observable in results and the expvar snapshot); clean traffic
+// budget (observable in results and the metrics snapshot); clean traffic
 // then recovers full iterations.
 func TestBreakerDegradesAndRecoversEndToEnd(t *testing.T) {
 	c := smallCode(t)
@@ -151,12 +151,12 @@ func TestBreakerDegradesAndRecoversEndToEnd(t *testing.T) {
 	// Undecodable traffic: deep-noise frames do not converge, so every
 	// completion records a failure.
 	junk := noisyQ(t, c, p.Format, -4.0, 13)
-	for i := 0; i < 8 && !s.Breaker().Degraded(); i++ {
+	for i := 0; i < 8 && !s.breaker.tripped.Load(); i++ {
 		if _, err := s.DecodeQ(junk, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !s.Breaker().Degraded() {
+	if !s.breaker.tripped.Load() {
 		t.Fatal("breaker did not trip on sustained decode failures")
 	}
 	if snap := s.Metrics().Snapshot(); !snap.Degraded || snap.BreakerTrips == 0 {
@@ -176,12 +176,12 @@ func TestBreakerDegradesAndRecoversEndToEnd(t *testing.T) {
 	// Clean traffic dilutes the failure rate to the recover threshold;
 	// full iterations come back.
 	good := noisyQ(t, c, p.Format, 6.0, 14)
-	for i := 0; i < 400 && s.Breaker().Degraded(); i++ {
+	for i := 0; i < 400 && s.breaker.tripped.Load(); i++ {
 		if _, err := s.DecodeQ(good, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.Breaker().Degraded() {
+	if s.breaker.tripped.Load() {
 		t.Fatal("breaker never recovered on clean traffic")
 	}
 	if snap := s.Metrics().Snapshot(); snap.Degraded {

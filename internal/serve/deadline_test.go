@@ -138,23 +138,23 @@ func TestDeadlineConfigValidation(t *testing.T) {
 // rate crosses the threshold, healthy again after the bad second ages
 // out of the window.
 func TestHealthWindow(t *testing.T) {
-	h := newHealth(5*time.Second, 0.5, 0.25, 10)
+	h := newLatch(5*time.Second, 0.5, 0.25, 10)
 	now := time.Unix(1_000_000, 0)
 	h.setNow(func() time.Time { return now })
 
-	if st := h.Status(); !st.Healthy || st.Samples != 0 {
+	if st := h.status(); !st.Healthy || st.Samples != 0 {
 		t.Fatalf("empty window: %+v", st)
 	}
 	// Nine failures: all failing but still below minSamples.
 	for i := 0; i < 9; i++ {
-		h.Record(false)
+		h.record(false)
 	}
-	if st := h.Status(); !st.Healthy {
+	if st := h.status(); !st.Healthy {
 		t.Fatalf("under-sampled window flagged unhealthy: %+v", st)
 	}
 	// The tenth sample reaches minSamples at failure rate 1.0.
-	h.Record(false)
-	st := h.Status()
+	h.record(false)
+	st := h.status()
 	if st.Healthy || st.Samples != 10 || st.FailureRate != 1.0 {
 		t.Fatalf("saturated failures still healthy: %+v", st)
 	}
@@ -162,21 +162,21 @@ func TestHealthWindow(t *testing.T) {
 	// the threshold: 10 failed of 40 total = 0.25.
 	now = now.Add(2 * time.Second)
 	for i := 0; i < 30; i++ {
-		h.Record(true)
+		h.record(true)
 	}
-	st = h.Status()
+	st = h.status()
 	if !st.Healthy || st.Samples != 40 || st.FailureRate != 0.25 {
 		t.Fatalf("diluted window: %+v", st)
 	}
 	// Six seconds past the failures, they have aged out of the 5s
 	// window; only stale ring slots remain and must not count.
 	now = now.Add(4 * time.Second)
-	st = h.Status()
+	st = h.status()
 	if !st.Healthy || st.Samples != 30 {
 		t.Fatalf("expired failures still counted: %+v", st)
 	}
 	now = now.Add(5 * time.Second)
-	if st := h.Status(); st.Samples != 0 {
+	if st := h.status(); st.Samples != 0 {
 		t.Fatalf("fully aged window not empty: %+v", st)
 	}
 }
@@ -194,7 +194,7 @@ func TestHealthTracksDecodeOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Health().Status()
+	st := s.HealthSnapshot()
 	if !st.Healthy || st.Samples != 5 || st.FailureRate != 0 {
 		t.Fatalf("healthy traffic: %+v", st)
 	}

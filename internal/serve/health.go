@@ -2,11 +2,11 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// rateWindow is a sliding window of per-second outcome counters, shared
-// by the health signal and the uncorrectable-frame circuit breaker.
+// rateWindow is a sliding window of per-second outcome counters.
 // Callers provide their own locking.
 type rateWindow struct {
 	buckets []rateBucket // ring of per-second counters
@@ -53,34 +53,42 @@ func (w *rateWindow) totals() (total, failed int64) {
 	return total, failed
 }
 
-// Health tracks the server's decode-failure rate over a sliding window
-// of per-second buckets, driving a load-balancer-facing /healthz
-// endpoint: a decoder drowning in noise (unconverged frames), shedding
-// load, or missing deadlines should be rotated out before clients see
-// sustained bad service, while a brief blip inside the window should
-// not flap the instance.
+// latch is the hysteretic trip/recover switch over a sliding window of
+// outcomes that runs both of a server's self-healing signals:
 //
-// A sample is recorded per frame answered or shed: failure means shed,
-// deadline exceeded, decode error, or an unconverged result. The
-// healthy/unhealthy transition is hysteretic: the instance trips
-// unhealthy when the windowed failure rate reaches the trip threshold
-// (once the window holds a minimum number of samples, so an idle or
-// freshly started server is healthy) and recovers only when the rate
-// falls to the lower recover threshold. Without the gap, a failure rate
-// hovering at the threshold would flap the instance in and out of the
-// load balancer on every poll; with it, each transition requires the
-// rate to cross the full band.
-type Health struct {
+//   - Health: a sample per frame answered or shed, failure meaning
+//     shed, deadline exceeded, decode error or an unconverged result.
+//     A tripped health latch reports the instance unhealthy on
+//     /healthz, so a decoder drowning in noise, shedding load or
+//     missing deadlines is rotated out before clients see sustained
+//     bad service. It is evaluated at each poll (status).
+//   - The uncorrectable-frame circuit breaker: a sample per decode
+//     outcome only (errors, crashes, unconverged frames — the
+//     service-level face of SEU-induced damage, not load). A tripped
+//     breaker drops the workers to Config.DegradedIterations, cutting
+//     per-frame cost so the instance rides out a fault storm at
+//     reduced quality before health gives up on it. It is evaluated at
+//     each recorded outcome (recordEval), so the workers switch budget
+//     as soon as the rate crosses.
+//
+// The latch trips when the windowed failure rate reaches trip, once the
+// window holds minSamples (so an idle or freshly started server stays
+// untripped), and recovers only when the rate falls to recover. Without
+// the gap a rate hovering at the threshold would flap the state at
+// every evaluation; with it each transition crosses the full band.
+type latch struct {
 	mu         sync.Mutex
 	win        *rateWindow
 	trip       float64
 	recover    float64
 	minSamples int64
-	tripped    bool // latched unhealthy state
+
+	tripped atomic.Bool  // the latched state, readable without the lock
+	trips   atomic.Int64 // untripped→tripped transitions
 }
 
-func newHealth(window time.Duration, trip, recover float64, minSamples int) *Health {
-	return &Health{
+func newLatch(window time.Duration, trip, recover float64, minSamples int) *latch {
+	return &latch{
 		win:        newRateWindow(window, time.Now),
 		trip:       trip,
 		recover:    recover,
@@ -89,37 +97,65 @@ func newHealth(window time.Duration, trip, recover float64, minSamples int) *Hea
 }
 
 // setNow injects a clock for tests.
-func (h *Health) setNow(now func() time.Time) {
-	h.mu.Lock()
-	h.win.now = now
-	h.mu.Unlock()
+func (l *latch) setNow(now func() time.Time) {
+	l.mu.Lock()
+	l.win.now = now
+	l.mu.Unlock()
 }
 
-// Record adds one decode outcome to the window.
-func (h *Health) Record(ok bool) {
-	h.mu.Lock()
-	h.win.record(ok)
-	h.mu.Unlock()
+// record adds one outcome to the window.
+func (l *latch) record(ok bool) {
+	l.mu.Lock()
+	l.win.record(ok)
+	l.mu.Unlock()
 }
 
-// HealthStatus is the /healthz report.
-type HealthStatus struct {
-	Healthy     bool    `json:"healthy"`
-	FailureRate float64 `json:"failure_rate"`
-	Samples     int64   `json:"samples"`
-	WindowSecs  int     `json:"window_s"`
-	Threshold   float64 `json:"threshold"`
-	// RecoverThreshold is the failure rate an unhealthy instance must
-	// fall to before it reports healthy again (hysteresis).
-	RecoverThreshold float64 `json:"recover_threshold"`
+// recordEval adds one outcome and applies the transition at once.
+func (l *latch) recordEval(ok bool) {
+	l.mu.Lock()
+	l.win.record(ok)
+	l.eval()
+	l.mu.Unlock()
+}
+
+// status applies the transition now and reports the window as the
+// verdict half of a HealthSnapshot: Healthy while untripped.
+func (l *latch) status() HealthSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rate, samples := l.eval()
+	return HealthSnapshot{
+		Healthy:     !l.tripped.Load(),
+		FailureRate: rate,
+		Samples:     samples,
+		WindowSecs:  len(l.win.buckets),
+	}
+}
+
+// eval applies the hysteretic transition to the window's current rate
+// and returns that rate and the window's sample count. l.mu is held.
+func (l *latch) eval() (rate float64, samples int64) {
+	total, failed := l.win.totals()
+	if total > 0 {
+		rate = float64(failed) / float64(total)
+	}
+	if !l.tripped.Load() {
+		if total >= l.minSamples && rate >= l.trip {
+			l.tripped.Store(true)
+			l.trips.Add(1)
+		}
+	} else if rate <= l.recover {
+		l.tripped.Store(false)
+	}
+	return rate, total
 }
 
 // HealthSnapshot is one instance's routable state in a single struct:
-// the hysteretic health verdict, the circuit-breaker state, and the
-// load counters a front tier folds into routing weights. It is the one
-// source of truth shared by the local /healthz handler and a fleet
-// router's health poller — both see exactly the same verdict at the
-// same instant, so an instance can never look healthy to its own
+// the hysteretic health verdict and the frame counts, circuit-breaker
+// state included, that a front tier folds into routing weights. It is
+// the one source of truth shared by the local /healthz handler and a
+// fleet router's health poller — both see exactly the same verdict at
+// the same instant, so an instance can never look healthy to its own
 // endpoint while a router drains it (or vice versa).
 type HealthSnapshot struct {
 	// Healthy is the hysteretic /healthz verdict (trip/recover band
@@ -128,68 +164,19 @@ type HealthSnapshot struct {
 	FailureRate float64 `json:"failure_rate"`
 	Samples     int64   `json:"samples"`
 	WindowSecs  int     `json:"window_s"`
-	// Degraded reports a tripped circuit breaker: the instance still
-	// answers but at the reduced iteration budget — a router should
-	// down-weight it, not drain it.
-	Degraded     bool  `json:"degraded"`
-	BreakerTrips int64 `json:"breaker_trips"`
-	// QueueDepth and InFlight are the instantaneous load signals
-	// (frames accepted but undispatched, and frames inside workers).
-	QueueDepth int64 `json:"queue_depth"`
-	InFlight   int64 `json:"in_flight"`
-	// Window counters: cumulative totals a poller can difference to get
-	// rates without scraping the full /metrics snapshot.
-	FramesIn       int64 `json:"frames_in"`
-	FramesDecoded  int64 `json:"frames_decoded"`
-	FramesShed     int64 `json:"frames_shed"`
-	FramesDeadline int64 `json:"frames_deadline"`
-	FramesCrashed  int64 `json:"frames_crashed"`
+	// Counts carries the frame totals a poller can difference into
+	// rates without scraping /metrics, and the load and breaker gauges
+	// it folds into routing weights. A Degraded instance still answers,
+	// at the reduced iteration budget: a router should down-weight it,
+	// not drain it.
+	Counts
 }
 
 // HealthSnapshot assembles the instance's routable state. Calling it is
 // an observation point for the hysteretic health transition, exactly
 // like a /healthz poll.
 func (s *Server) HealthSnapshot() HealthSnapshot {
-	hs := s.health.Status()
-	return HealthSnapshot{
-		Healthy:        hs.Healthy,
-		FailureRate:    hs.FailureRate,
-		Samples:        hs.Samples,
-		WindowSecs:     hs.WindowSecs,
-		Degraded:       s.breaker.Degraded(),
-		BreakerTrips:   s.breaker.Trips(),
-		QueueDepth:     s.metrics.queued.Load(),
-		InFlight:       s.metrics.pending.Load(),
-		FramesIn:       s.metrics.framesIn.Load(),
-		FramesDecoded:  s.metrics.framesDecoded.Load(),
-		FramesShed:     s.metrics.framesShed.Load(),
-		FramesDeadline: s.metrics.framesDeadline.Load(),
-		FramesCrashed:  s.metrics.framesCrashed.Load(),
-	}
-}
-
-// Status evaluates the window now and applies the hysteretic state
-// transition; each /healthz poll is an observation point.
-func (h *Health) Status() HealthStatus {
-	h.mu.Lock()
-	total, failed := h.win.totals()
-	st := HealthStatus{
-		Samples:          total,
-		WindowSecs:       len(h.win.buckets),
-		Threshold:        h.trip,
-		RecoverThreshold: h.recover,
-	}
-	if total > 0 {
-		st.FailureRate = float64(failed) / float64(total)
-	}
-	if !h.tripped {
-		if total >= h.minSamples && st.FailureRate >= h.trip {
-			h.tripped = true
-		}
-	} else if st.FailureRate <= h.recover {
-		h.tripped = false
-	}
-	st.Healthy = !h.tripped
-	h.mu.Unlock()
-	return st
+	hs := s.health.status()
+	hs.Counts = s.metrics.counts()
+	return hs
 }

@@ -46,6 +46,96 @@ func latencyBucketValue(b int) float64 {
 	return base + base*float64(sub)/float64(int(1)<<latencySubBits)
 }
 
+// Histogram is the log-linear latency histogram every layer records
+// into. Record is one atomic add, safe from any goroutine; the zero
+// value is ready to use.
+type Histogram struct {
+	buckets [latencyBuckets]atomic.Int64
+}
+
+// Record adds one latency sample in microseconds.
+func (h *Histogram) Record(us int64) {
+	h.buckets[latencyBucket(us)].Add(1)
+}
+
+// Latency is a histogram's quantiles in microseconds, under the keys
+// every /metrics snapshot reports latency with.
+type Latency struct {
+	LatencyP50Micros float64 `json:"latency_p50_us"`
+	LatencyP90Micros float64 `json:"latency_p90_us"`
+	LatencyP99Micros float64 `json:"latency_p99_us"`
+}
+
+// Latency returns the p50, p90 and p99 of the samples recorded so far.
+func (h *Histogram) Latency() Latency {
+	var hist [latencyBuckets]int64
+	var total int64
+	for b := range h.buckets {
+		hist[b] = h.buckets[b].Load()
+		total += hist[b]
+	}
+	return Latency{
+		LatencyP50Micros: quantile(hist[:], total, 0.50),
+		LatencyP90Micros: quantile(hist[:], total, 0.90),
+		LatencyP99Micros: quantile(hist[:], total, 0.99),
+	}
+}
+
+// quantile walks the histogram to the bucket holding the q-quantile.
+func quantile(hist []int64, total int64, q float64) float64 {
+	if total == 0 {
+		return 0
+	}
+	rank := int64(q * float64(total-1))
+	var seen int64
+	for b := range hist {
+		seen += hist[b]
+		if seen > rank {
+			return latencyBucketValue(b)
+		}
+	}
+	return latencyBucketValue(len(hist) - 1)
+}
+
+// Counts is the frame accounting both Snapshot and HealthSnapshot
+// carry: what happened to the frames a server took in, its load, and
+// its circuit breaker. At idle FramesIn = FramesDecoded +
+// FramesDeadline + FramesCrashed; shed frames were never taken in.
+type Counts struct {
+	FramesIn       int64 `json:"frames_in"`
+	FramesDecoded  int64 `json:"frames_decoded"`
+	FramesShed     int64 `json:"frames_shed"`     // refused with ErrOverloaded
+	FramesDeadline int64 `json:"frames_deadline"` // answered ErrDeadline undecoded
+	// FramesCrashed counts claimed frames a worker panic answered with
+	// ErrWorkerCrash.
+	FramesCrashed int64 `json:"frames_crashed"`
+
+	// QueueDepth counts frames accepted but not yet dispatched;
+	// InFlight counts frames inside workers.
+	QueueDepth int64 `json:"queue_depth"`
+	InFlight   int64 `json:"in_flight"`
+
+	// BreakerTrips counts the circuit breaker's normal→degraded
+	// transitions, and Degraded reports whether the worker pool is
+	// running the reduced iteration budget now.
+	BreakerTrips int64 `json:"breaker_trips"`
+	Degraded     bool  `json:"degraded"`
+}
+
+// Add folds another server's counts into c: counters and gauges sum,
+// and c is degraded if either is.
+func (c *Counts) Add(o Counts) {
+	c.FramesIn += o.FramesIn
+	c.FramesDecoded += o.FramesDecoded
+	c.FramesShed += o.FramesShed
+	c.FramesDeadline += o.FramesDeadline
+	c.FramesCrashed += o.FramesCrashed
+	c.QueueDepth += o.QueueDepth
+	c.InFlight += o.InFlight
+	c.BreakerTrips += o.BreakerTrips
+	c.Degraded = c.Degraded || o.Degraded
+}
+
 // Metrics is the server's live instrumentation. All fields are updated
 // with atomics; Snapshot assembles a consistent-enough view for
 // reporting (counters may be mid-batch skewed by a few frames, which is
@@ -63,8 +153,8 @@ type Metrics struct {
 
 	workerRestarts atomic.Int64 // workers rebuilt after a confined panic
 	framesCrashed  atomic.Int64 // claimed frames returned with ErrWorkerCrash
-	breakerTrips   atomic.Int64 // circuit-breaker normal→degraded transitions
-	degraded       atomic.Int64 // 1 while the breaker holds degraded mode
+
+	breaker *latch // the circuit breaker, read for its trips and state
 
 	// dispatchWidth is the configured maximum frames per dispatch
 	// (Config.MaxBatch) — the denominator of every fill statistic. It
@@ -73,17 +163,18 @@ type Metrics struct {
 	// SuperBatch > 1.
 	dispatchWidth int
 	fill          []atomic.Int64 // fill[k-1] = batches with k frames
-	latency       [latencyBuckets]atomic.Int64
+	latency       Histogram
 
 	workerFrames []atomic.Int64
 	workerIters  []atomic.Int64
 }
 
-func newMetrics(workers, dispatchWidth int) *Metrics {
+func newMetrics(workers, dispatchWidth int, breaker *latch) *Metrics {
 	if dispatchWidth < 1 {
 		dispatchWidth = batch.Lanes
 	}
 	return &Metrics{
+		breaker:       breaker,
 		dispatchWidth: dispatchWidth,
 		fill:          make([]atomic.Int64, dispatchWidth),
 		workerFrames:  make([]atomic.Int64, workers),
@@ -100,8 +191,19 @@ func (m *Metrics) recordBatch(worker, frames int, iters int64) {
 	m.workerIters[worker].Add(iters)
 }
 
-func (m *Metrics) recordLatency(us int64) {
-	m.latency[latencyBucket(us)].Add(1)
+// counts loads the frame accounting.
+func (m *Metrics) counts() Counts {
+	return Counts{
+		FramesIn:       m.framesIn.Load(),
+		FramesDecoded:  m.framesDecoded.Load(),
+		FramesShed:     m.framesShed.Load(),
+		FramesDeadline: m.framesDeadline.Load(),
+		FramesCrashed:  m.framesCrashed.Load(),
+		QueueDepth:     m.queued.Load(),
+		InFlight:       m.pending.Load(),
+		BreakerTrips:   m.breaker.trips.Load(),
+		Degraded:       m.breaker.tripped.Load(),
+	}
 }
 
 // WorkerStat is one worker's share of the decode traffic.
@@ -113,28 +215,13 @@ type WorkerStat struct {
 // Snapshot is a point-in-time copy of the metrics, JSON-encodable for a
 // /metrics endpoint.
 type Snapshot struct {
-	FramesIn       int64 `json:"frames_in"`
-	FramesDecoded  int64 `json:"frames_decoded"`
-	FramesShed     int64 `json:"frames_shed"`
-	FramesDeadline int64 `json:"frames_deadline"`
-	Batches        int64 `json:"batches"`
-	Iterations     int64 `json:"iterations"`
+	Counts
+	Batches    int64 `json:"batches"`
+	Iterations int64 `json:"iterations"`
 
-	// QueueDepth counts frames accepted but not yet dispatched;
-	// InFlight counts frames inside workers.
-	QueueDepth int64 `json:"queue_depth"`
-	InFlight   int64 `json:"in_flight"`
-
-	// Self-healing observability: WorkerRestarts counts decoders
-	// rebuilt after a confined worker panic, FramesCrashed the claimed
-	// frames those panics returned with ErrWorkerCrash, BreakerTrips
-	// the circuit breaker's normal→degraded transitions, and Degraded
-	// whether the worker pool is currently running the reduced
-	// iteration budget.
+	// WorkerRestarts counts decoders rebuilt after a confined worker
+	// panic.
 	WorkerRestarts int64 `json:"worker_restarts"`
-	FramesCrashed  int64 `json:"frames_crashed"`
-	BreakerTrips   int64 `json:"breaker_trips"`
-	Degraded       bool  `json:"degraded"`
 
 	// BatchFill[k-1] is the number of dispatched batches holding k
 	// frames, sized to the configured dispatch width; BatchFillMean is
@@ -149,11 +236,8 @@ type Snapshot struct {
 	BatchFillFrac float64 `json:"batch_fill_frac"`
 	DispatchWidth int64   `json:"dispatch_width"`
 
-	// Request latency quantiles in microseconds (queueing + decode),
-	// from a log-linear histogram with ≤12.5% resolution.
-	LatencyP50Micros float64 `json:"latency_p50_us"`
-	LatencyP90Micros float64 `json:"latency_p90_us"`
-	LatencyP99Micros float64 `json:"latency_p99_us"`
+	// Latency is the request latency (queueing + decode).
+	Latency
 
 	AvgIterations float64      `json:"avg_iterations"`
 	Workers       []WorkerStat `json:"workers"`
@@ -162,20 +246,13 @@ type Snapshot struct {
 // Snapshot captures the current metric values.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
-		FramesIn:       m.framesIn.Load(),
-		FramesDecoded:  m.framesDecoded.Load(),
-		FramesShed:     m.framesShed.Load(),
-		FramesDeadline: m.framesDeadline.Load(),
+		Counts:         m.counts(),
 		Batches:        m.batches.Load(),
 		Iterations:     m.iterations.Load(),
-		QueueDepth:     m.queued.Load(),
-		InFlight:       m.pending.Load(),
 		WorkerRestarts: m.workerRestarts.Load(),
-		FramesCrashed:  m.framesCrashed.Load(),
-		BreakerTrips:   m.breakerTrips.Load(),
-		Degraded:       m.degraded.Load() != 0,
 		BatchFill:      make([]int64, len(m.fill)),
 		DispatchWidth:  int64(m.dispatchWidth),
+		Latency:        m.latency.Latency(),
 	}
 	for k := range m.fill {
 		s.BatchFill[k] = m.fill[k].Load()
@@ -187,15 +264,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	if s.FramesDecoded > 0 {
 		s.AvgIterations = float64(s.Iterations) / float64(s.FramesDecoded)
 	}
-	var hist [latencyBuckets]int64
-	var total int64
-	for b := range m.latency {
-		hist[b] = m.latency[b].Load()
-		total += hist[b]
-	}
-	s.LatencyP50Micros = quantile(hist[:], total, 0.50)
-	s.LatencyP90Micros = quantile(hist[:], total, 0.90)
-	s.LatencyP99Micros = quantile(hist[:], total, 0.99)
 	s.Workers = make([]WorkerStat, len(m.workerFrames))
 	for w := range m.workerFrames {
 		s.Workers[w] = WorkerStat{
@@ -204,20 +272,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// quantile walks the histogram to the bucket holding the q-quantile.
-func quantile(hist []int64, total int64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total-1))
-	var seen int64
-	for b := range hist {
-		seen += hist[b]
-		if seen > rank {
-			return latencyBucketValue(b)
-		}
-	}
-	return latencyBucketValue(len(hist) - 1)
 }

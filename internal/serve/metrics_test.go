@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestLatencyBucketMonotone(t *testing.T) {
@@ -37,15 +38,15 @@ func TestLatencyBucketResolution(t *testing.T) {
 }
 
 func TestQuantiles(t *testing.T) {
-	m := newMetrics(1, batch.Lanes)
+	var h Histogram
 	// 90 samples at ~100 µs, 10 at ~10 ms.
 	for i := 0; i < 90; i++ {
-		m.recordLatency(100)
+		h.Record(100)
 	}
 	for i := 0; i < 10; i++ {
-		m.recordLatency(10_000)
+		h.Record(10_000)
 	}
-	s := m.Snapshot()
+	s := h.Latency()
 	if s.LatencyP50Micros < 80 || s.LatencyP50Micros > 100 {
 		t.Errorf("p50 = %.1f, want ≈100", s.LatencyP50Micros)
 	}
@@ -58,7 +59,7 @@ func TestQuantiles(t *testing.T) {
 }
 
 func TestSnapshotAccounting(t *testing.T) {
-	m := newMetrics(2, batch.Lanes)
+	m := newMetrics(2, batch.Lanes, newLatch(time.Second, 0.3, 0.1, 1))
 	m.framesIn.Add(11)
 	m.recordBatch(0, 8, 8*18)
 	m.recordBatch(1, 3, 3*10)

@@ -332,8 +332,8 @@ type Server struct {
 	in      chan *request
 	jobs    chan *job
 	metrics *Metrics
-	health  *Health
-	breaker *Breaker
+	health  *latch // the /healthz verdict, evaluated at each poll
+	breaker *latch // the uncorrectable-frame circuit breaker
 
 	reqPool    sync.Pool
 	waiterPool sync.Pool
@@ -372,17 +372,17 @@ func New(cfg Config) (*Server, error) {
 		}
 		decs[w] = d
 	}
+	breaker := newLatch(cfg.BreakerWindow, cfg.BreakerTrip, cfg.BreakerRecover, cfg.BreakerMinSamples)
 	s := &Server{
 		cfg:     cfg,
 		graph:   g,
 		newDec:  newDec,
 		in:      make(chan *request, cfg.QueueDepth),
 		jobs:    make(chan *job, cfg.Workers),
-		metrics: newMetrics(cfg.Workers, cfg.MaxBatch),
-		health:  newHealth(cfg.HealthWindow, cfg.HealthThreshold, cfg.HealthRecoverThreshold, cfg.HealthMinSamples),
-		breaker: nil, // bound below, after metrics exists
+		metrics: newMetrics(cfg.Workers, cfg.MaxBatch, breaker),
+		health:  newLatch(cfg.HealthWindow, cfg.HealthThreshold, cfg.HealthRecoverThreshold, cfg.HealthMinSamples),
+		breaker: breaker,
 	}
-	s.breaker = newBreaker(cfg.BreakerWindow, cfg.BreakerTrip, cfg.BreakerRecover, cfg.BreakerMinSamples, s.metrics)
 	s.reqPool.New = func() any { return new(request) }
 	s.waiterPool.New = func() any { return &waiter{done: make(chan struct{}, 1)} }
 	s.jobPool.New = func() any { return new(job) }
@@ -400,12 +400,6 @@ func (s *Server) Config() Config { return s.cfg }
 
 // Metrics returns the live instrumentation.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Health returns the sliding-window decode-failure health signal.
-func (s *Server) Health() *Health { return s.health }
-
-// Breaker returns the uncorrectable-frame circuit breaker.
-func (s *Server) Breaker() *Breaker { return s.breaker }
 
 // DecodeQ submits one frame of quantized channel LLRs (length N, in the
 // configured format's range) and blocks until it is decoded. bits, when
@@ -435,7 +429,7 @@ func (s *Server) DecodeQ(q []int16, bits *bitvec.Vector) (ldpc.Result, error) {
 				// worker that eventually receives the batch loses the
 				// claim, skips the lane and recycles the waiter.
 				s.metrics.framesDeadline.Add(1)
-				s.health.Record(false)
+				s.health.record(false)
 				return ldpc.Result{}, ErrDeadline
 			}
 			// A worker claimed the frame first: it is being decoded
@@ -494,7 +488,7 @@ func (s *Server) enqueue(q []int16, bits *bitvec.Vector, c Completion) error {
 	default:
 		s.mu.RUnlock()
 		s.metrics.framesShed.Add(1)
-		s.health.Record(false)
+		s.health.record(false)
 		s.recycle(req)
 		return ErrOverloaded
 	}
@@ -647,7 +641,7 @@ func (s *Server) claim(j *job, res *[batch.MaxFrames]ldpc.Result, qs *[batch.Max
 		}
 		if s.cfg.Deadline > 0 && now.Sub(req.enq) > s.cfg.Deadline {
 			s.metrics.framesDeadline.Add(1)
-			s.health.Record(false)
+			s.health.record(false)
 			c := req.c
 			s.recycle(req)
 			c.Complete(ldpc.Result{}, ErrDeadline)
@@ -679,7 +673,7 @@ func (s *Server) decode(id int, dec *batch.Parallel, res []ldpc.Result, qs [][]i
 	// iteration budget. The budget is sticky per decoder and adjusted
 	// only on transitions.
 	want := s.cfg.Params.MaxIterations
-	if s.breaker.Degraded() {
+	if s.breaker.tripped.Load() {
 		want = s.cfg.DegradedIterations
 	}
 	if dec.MaxIterations() != want {
@@ -705,9 +699,9 @@ func (s *Server) decode(id int, dec *batch.Parallel, res []ldpc.Result, qs [][]i
 // the outcome to its completion.
 func (s *Server) deliver(req *request, res ldpc.Result, err error, now time.Time) {
 	ok := err == nil && res.Converged
-	s.metrics.recordLatency(now.Sub(req.enq).Microseconds())
-	s.health.Record(ok)
-	s.breaker.Record(ok)
+	s.metrics.latency.Record(now.Sub(req.enq).Microseconds())
+	s.health.record(ok)
+	s.breaker.recordEval(ok)
 	c := req.c
 	s.recycle(req)
 	c.Complete(res, err)

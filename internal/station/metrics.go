@@ -5,8 +5,8 @@ import (
 )
 
 // Metrics is the pipeline's live per-stage instrumentation, updated
-// with atomics and exposed through the same expvar plumbing as the
-// decode service.
+// with atomics and reported through the same HTTP surface as the
+// decode service (serve.HTTPMux, in ldpcstation -http).
 type Metrics struct {
 	samplesIn atomic.Int64
 

@@ -66,6 +66,18 @@ func TestStationCleanStream(t *testing.T) {
 		if m.Locks != 1 || m.Unlocks != 0 || m.SlipsCorrected != 0 {
 			t.Fatalf("chunk %d: metrics %+v", chunk, m)
 		}
+		assertFramesBalance(t, m)
+	}
+}
+
+// assertFramesBalance checks that after a pass every aligned frame has
+// exactly one outcome: a CADU emitted, a syndrome rejection, or a
+// decode error.
+func assertFramesBalance(t *testing.T, m Snapshot) {
+	t.Helper()
+	if m.FramesAligned != m.CadusEmitted+m.CadusRejected+m.DecodeErrors {
+		t.Errorf("frames aligned %d != CADUs emitted %d + rejected %d + decode errors %d",
+			m.FramesAligned, m.CadusEmitted, m.CadusRejected, m.DecodeErrors)
 	}
 }
 
@@ -123,6 +135,7 @@ func TestStationAcceptanceScenario(t *testing.T) {
 	if m.FlywheelMisses < 1 {
 		t.Fatalf("flywheel misses %d, want ≥ 1 (burst)", m.FlywheelMisses)
 	}
+	assertFramesBalance(t, m)
 }
 
 // TestStationMidStreamSNRDrift ramps the operating point through the
@@ -157,6 +170,7 @@ func TestStationMidStreamSNRDrift(t *testing.T) {
 	if m.Locks != 1 || m.Unlocks != 0 {
 		t.Fatalf("locks %d unlocks %d: lock did not ride through the fade", m.Locks, m.Unlocks)
 	}
+	assertFramesBalance(t, m)
 	// Only the trough can fail; frames outside the ramp must decode.
 	if min := res.CleanFrames - (24 - 8); res.BitExact < min {
 		t.Fatalf("bit-exact %d of %d clean frames, want ≥ %d", res.BitExact, res.CleanFrames, min)

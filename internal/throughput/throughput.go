@@ -39,6 +39,23 @@ func MachineMbps(m *hwsim.Machine, c *code.Code) (float64, error) {
 	return Mbps(c.K, m.CyclesPerBatch(), cfg.Frames, cfg.ClockMHz)
 }
 
+// HighSpeedMbps is the paper's high-speed architecture decoding the C2
+// code at the given iteration count — the hardware figure a measured
+// software rate is read against.
+func HighSpeedMbps(iters int) (float64, error) {
+	c, err := code.CCSDS()
+	if err != nil {
+		return 0, err
+	}
+	cfg := hwsim.HighSpeed()
+	cfg.Iterations = iters
+	m, err := hwsim.New(c, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return MachineMbps(m, c)
+}
+
 // Row is one line of Table 1.
 type Row struct {
 	Iterations    int

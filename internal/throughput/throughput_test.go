@@ -105,6 +105,9 @@ func TestMachineMbpsAgreesWithTable(t *testing.T) {
 	if math.Abs(got-rows[0].LowCostMbps) > 1e-9 {
 		t.Errorf("MachineMbps %v != Table1 %v", got, rows[0].LowCostMbps)
 	}
+	if hs, err := HighSpeedMbps(18); err != nil || math.Abs(hs-rows[0].HighSpeedMbps) > 1e-9 {
+		t.Errorf("HighSpeedMbps(18) = %v, %v; Table1 %v", hs, err, rows[0].HighSpeedMbps)
+	}
 }
 
 func TestFormatTable(t *testing.T) {

@@ -2,8 +2,9 @@
 # Tier-1 verification: build, formatting (fails when `gofmt -l .` lists
 # any file), vet, static analysis (when staticcheck is installed — CI
 # installs it, minimal containers may not have it), the full test suite,
-# and the race pass over the concurrency-bearing packages (`make race`,
-# whose package list CI's race job shares).
+# vet and tests of the benchmark module (its own go.mod, outside the
+# root ./...), and the race pass over the concurrency-bearing packages
+# (`make race`, whose package list CI's race job shares).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -20,4 +21,5 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test ./...
+(cd ldpcbench && go vet ./... && go test ./...)
 make race
