@@ -12,9 +12,13 @@ check:
 # workers run, the streaming station front end whose group submissions
 # keep a whole group in flight in that server,
 # and the fleet routing tier whose hedges, requeues and health-driven
-# ring rebuilds race against backend death.
+# ring rebuilds race against backend death. The race detector does not
+# instrument assembly, so the packed decoder runs once more under the
+# purego tag, where lane widths 4 and 8 take the generic Go kernels and
+# their reads and writes across shards stay checked.
 race:
 	go test -race ./internal/sim/... ./internal/batch/... ./internal/serve/... ./internal/registry/... ./internal/protect/... ./internal/fault/... ./internal/station/... ./internal/fleet/...
+	go test -race -tags purego ./internal/batch/...
 
 build:
 	go build ./...

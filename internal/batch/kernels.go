@@ -66,21 +66,19 @@ type stripState struct {
 // for edge e, through the same tables.
 func newStripState(g *ldpc.Graph, p fixed.Params, tw int) stripState {
 	st := stripState{
-		g:         g,
-		tw:        tw,
-		qw:        make([]uint64, g.N*tw),
-		vcw:       make([]uint64, g.E*tw),
-		cvw:       make([]uint64, g.E*tw),
-		postw:     make([]uint64, g.N*tw),
-		done:      make([]uint64, tw),
-		cnOff:     make([]int32, g.E),
-		bnOff:     make([]int32, g.E),
-		vnOff:     make([]int32, g.E),
-		num:       uint64(p.Scale.Num),
-		shift:     uint(p.Scale.Shift),
-		shiftMask: broadcast8(0xFF >> uint(p.Scale.Shift)),
-		maxVec:    broadcast8(uint8(p.Format.Max())),
+		g:      g,
+		tw:     tw,
+		qw:     make([]uint64, g.N*tw),
+		vcw:    make([]uint64, g.E*tw),
+		cvw:    make([]uint64, g.E*tw),
+		postw:  make([]uint64, g.N*tw),
+		done:   make([]uint64, tw),
+		cnOff:  make([]int32, g.E),
+		bnOff:  make([]int32, g.E),
+		vnOff:  make([]int32, g.E),
+		maxVec: broadcast8(uint8(p.Format.Max())),
 	}
+	st.setScale(p.Scale)
 	var perm []int32
 	if g.QC != nil {
 		perm = g.QC.Perm
@@ -100,6 +98,13 @@ func newStripState(g *ldpc.Graph, p fixed.Params, tw int) stripState {
 	return st
 }
 
+// setScale sets the lane constants of the check-node scale.
+func (st *stripState) setScale(s fixed.Scale) {
+	st.num = uint64(s.Num)
+	st.shift = uint(s.Shift)
+	st.shiftMask = broadcast8(0xFF >> uint(s.Shift))
+}
+
 // stripKernels binds one strip width's kernel instantiations, chosen
 // once at decoder construction so the decode loop pays a plain
 // indirect call instead of a per-phase switch.
@@ -116,14 +121,20 @@ func bindKernels[S strip]() stripKernels {
 
 // kernelsFor returns the kernel set for a validated lane width.
 //
-// Width 8 deliberately binds the [4]uint64 instantiation: the kernels
-// only see tw and nsw, and an nsw rounded to 8 words is also a whole
-// number of 4-word strips, so the two instantiations compute the
-// identical result. The [8]uint64 body keeps ~5 eight-word
-// accumulators live and can spill on machines without 32 wide
-// registers; the two bindings measure within noise of each other
-// (EXPERIMENTS.md § E-wide), so the smaller register footprint stays.
-// The 8-word layout (512-frame capacity) is kept either way.
+// Widths 4 and 8 bind the 4-word strip: one YMM register. On a CPU
+// with AVX2 (amd64, detected once at package init; the purego build
+// tag opts out) that is the assembly of kernels_amd64.s, elsewhere the
+// generic [4]uint64 instantiation, which stays the oracle both are
+// diffed against (kernels_test.go). The platform makes the choice;
+// nothing configures it.
+//
+// Width 8 deliberately binds a 4-word strip: the kernels only see tw
+// and nsw, and an nsw rounded to 8 words is also a whole number of
+// 4-word strips, so the result is identical to the [8]uint64
+// instantiation's (TestEightWordBindingAliasesFour). The [8]uint64
+// body keeps ~5 eight-word accumulators live and can spill on machines
+// without 32 wide registers, and AVX2 holds 4 words per register. The
+// 8-word layout (512-frame capacity) is kept either way.
 func kernelsFor(w int) stripKernels {
 	switch w {
 	case 1:
@@ -131,6 +142,9 @@ func kernelsFor(w int) stripKernels {
 	case 2:
 		return bindKernels[[2]uint64]()
 	case 4, 8:
+		if k, ok := simdKernels(); ok {
+			return k
+		}
 		return bindKernels[[4]uint64]()
 	}
 	// Construction validates via ValidLaneWidth; unreachable after that.

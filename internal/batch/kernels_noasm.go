@@ -1,0 +1,7 @@
+//go:build !amd64 || purego
+
+package batch
+
+// simdKernels reports that this build has no vector strip kernels:
+// every lane width runs the generic Go bodies.
+func simdKernels() (stripKernels, bool) { return stripKernels{}, false }

@@ -577,23 +577,51 @@ func (d *Parallel) decodeInto(res []ldpc.Result) error {
 			}
 		}
 	}
-	tw := d.st.tw
 	for f := 0; f < nf; f++ {
 		if res[f].Bits == nil {
 			res[f].Bits = bitvec.New(d.g.N)
 		}
-		h := res[f].Bits
-		h.Zero()
-		w, sh := f/Lanes, uint(8*(f%Lanes)+7)
-		for j := 0; j < d.g.N; j++ {
-			if d.st.postw[j*tw+w]>>sh&1 == 1 {
-				h.Set(j)
-			}
-		}
+		res[f].Bits.Zero()
 		res[f].Iterations = d.iters[f]
 		res[f].Converged = d.conv[f]
 	}
+	d.extractHard(res)
 	return nil
+}
+
+// extractHard ORs the hard decisions of the live frames into res,
+// whose Bits are zeroed length-N vectors: bit j of frame f is the sign
+// of lane f%8 of postw[j*tw+f/8]. It walks the bit nodes eight at a
+// time. The lane signs of one packed word at bit nodes j0..j0+7 form
+// an 8×8 bit matrix, one row per bit node; transposed, its byte f is
+// frame f's bits j0..j0+7, which land in the result as one byte. The
+// N mod 8 tail goes bit by bit.
+func (d *Parallel) extractHard(res []ldpc.Result) {
+	tw, n, nf := d.st.tw, d.g.N, len(res)
+	postw := d.st.postw
+	j0 := 0
+	for ; j0+8 <= n; j0 += 8 {
+		rows := postw[j0*tw:][:8*tw]
+		wi, sh := j0/64, uint(j0%64)
+		for w, f0 := 0, 0; f0 < nf; w, f0 = w+1, f0+Lanes {
+			var m uint64
+			for b := 0; b < 8; b++ {
+				m |= laneSigns(rows[b*tw+w]) << (8 * b)
+			}
+			m = transpose8(m)
+			for f := f0; f < min(nf, f0+Lanes); f++ {
+				res[f].Bits.Words()[wi] |= (m & 0xFF) << sh
+				m >>= 8
+			}
+		}
+	}
+	for j := j0; j < n; j++ {
+		for f := 0; f < nf; f++ {
+			if postw[j*tw+f/Lanes]>>(8*(f%Lanes)+7)&1 == 1 {
+				res[f].Bits.Set(j)
+			}
+		}
+	}
 }
 
 // --- shard phase kernels ---------------------------------------------

@@ -126,6 +126,26 @@ func eqPos8(a, b uint64) uint64 {
 	return (laneMSB &^ ((x | laneMSB) - laneLSB)) >> 7 * 0xFF
 }
 
+// laneSigns gathers the sign bits of a packed word into one byte: bit
+// f of the result is bit 7 of lane f. The multiply moves bit 8f+7 to
+// bit 56+f; its partial products 8f+7+7k never share a bit position,
+// so no carry reaches the top byte.
+func laneSigns(x uint64) uint64 {
+	return (x & laneMSB) * 0x0002040810204081 >> 56
+}
+
+// transpose8 transposes the 8×8 bit matrix whose row r is byte r of x:
+// bit 8r+c moves to bit 8c+r. Three rounds swap the off-diagonal 1×1,
+// 2×2 and 4×4 blocks.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	return x ^ t ^ t<<28
+}
+
 // broadcast8 fills every lane with the low byte of v.
 func broadcast8(v uint8) uint64 {
 	return uint64(v) * laneLSB

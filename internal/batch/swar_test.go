@@ -235,3 +235,33 @@ func TestCheapCondNegate(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneSignsTranspose checks the two steps of the word-wide
+// hard-decision extraction against their bit-by-bit definitions:
+// laneSigns packs bit 7 of lane f into bit f, for every sign pattern
+// and arbitrary low bits, and transpose8 moves bit 8r+c to bit 8c+r.
+func TestLaneSignsTranspose(t *testing.T) {
+	r := rng.New(9)
+	for pat := 0; pat < 256; pat++ {
+		x := r.Uint64() &^ laneMSB
+		for f := 0; f < Lanes; f++ {
+			if pat>>f&1 == 1 {
+				x |= 0x80 << (8 * f)
+			}
+		}
+		if got := laneSigns(x); got != uint64(pat) {
+			t.Fatalf("laneSigns(%016x) = %#x, want %#x", x, got, pat)
+		}
+	}
+	for n := 0; n < 1000; n++ {
+		x := r.Uint64()
+		got := transpose8(x)
+		for row := 0; row < 8; row++ {
+			for col := 0; col < 8; col++ {
+				if got>>(8*col+row)&1 != x>>(8*row+col)&1 {
+					t.Fatalf("transpose8(%016x) = %016x: bit (%d,%d) misplaced", x, got, row, col)
+				}
+			}
+		}
+	}
+}

@@ -124,8 +124,9 @@ func TestLaneWidthValidation(t *testing.T) {
 }
 
 // TestEightWordBindingAliasesFour pins the kernelsFor(8) aliasing
-// contract: LaneWidth 8 dispatches the [4]uint64 kernel instantiation
-// for register-pressure reasons, which is only legal if the [8]uint64
+// contract: LaneWidth 8 dispatches a 4-word strip kernel — the AVX2
+// assembly where the CPU has it, the generic [4]uint64 instantiation
+// elsewhere — which is only legal if the generic [8]uint64
 // instantiation computes the identical result over the same words.
 // This test force-binds the [8]uint64 kernels into a LaneWidth-8
 // decoder and diffs every frame against the default binding, so the
