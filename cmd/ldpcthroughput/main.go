@@ -5,22 +5,13 @@
 // With -batch n it additionally measures this machine's software
 // decoding throughput, scalar versus frame-packed SWAR (n frames' int8
 // messages per 64-bit word, the software analogue of the paper's
-// high-speed frame-packed memory).
+// high-speed frame-packed memory). Each rate repeats its workload
+// until a minimum wall time has elapsed, so it is immune to
+// sub-millisecond timer artifacts and can never divide by zero. The
+// packed decoder's geometries (shards, super-batches, lane widths) are
+// measured by the root package's BenchmarkParallelDecode.
 //
-// With -parallel it sweeps the sharded wide-lane super-batch decoder
-// over a (shards × superbatch × lanes) matrix — the software form of
-// scaling the paper's processing block with more CN/BN units and wider
-// memory words — reporting frames/s, ns/frame, Mbit/s and the p50
-// latency of a single full batch. Each decode carries
-// superbatch × lanes × 8 frames, up to 512. -json writes the matrix
-// (with host CPU topology, so results from different machines stay
-// comparable) to a file.
-//
-// All software measurements repeat their workload until a minimum wall
-// time has elapsed, so the rates are immune to sub-millisecond timer
-// artifacts and can never divide by zero.
-//
-// -code runs the model and the software measurements on any registry
+// -code runs the model and the software measurement on any registry
 // code (c2, c2s, ds12, ds23, ds45) — the throughput axis of the
 // multi-mode family; the paper comparison column appears only for the
 // C2 code at the paper's operating point.
@@ -29,20 +20,12 @@
 //
 //	ldpcthroughput [-code c2] [-iters 10,18,50] [-clock 200] [-detail]
 //	               [-batch 8] [-batchframes 64]
-//	               [-parallel] [-shards 1,2,4,8] [-superbatches 1,4,8]
-//	               [-lanes 1,2,4,8] [-json BENCH_parallel.json]
-//	               [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -60,10 +43,8 @@ import (
 
 // minMeasure is the minimum wall time per software measurement: long
 // enough that coarse timers and one-off cache effects cannot dominate,
-// short enough that the full default matrix stays interactive.
-// -mintime raises it when the host is noisy (a shared single-core box
-// needs longer windows to catch quiet intervals).
-var minMeasure = 250 * time.Millisecond
+// short enough to stay interactive.
+const minMeasure = 250 * time.Millisecond
 
 func main() {
 	log.SetFlags(0)
@@ -75,66 +56,19 @@ func main() {
 
 func run() error {
 	var (
-		codeName   = flag.String("code", "c2", "registry code to measure (c2, c2s, ds12, ds23, ds45)")
-		itersFlag  = flag.String("iters", "10,18,50", "comma-separated iteration counts")
-		clock      = flag.Float64("clock", 200, "system clock in MHz")
-		detail     = flag.Bool("detail", false, "print the cycle breakdown per configuration")
-		batchN     = flag.Int("batch", 0, "also measure software throughput, scalar vs n-frame packed SWAR (2..8)")
-		batchFr    = flag.Int("batchframes", 64, "frames per software throughput measurement")
-		parallel   = flag.Bool("parallel", false, "sweep the sharded super-batch decoder over the shards × superbatches × lanes matrix")
-		shardsF    = flag.String("shards", "1,2,4,8", "shard counts for the -parallel sweep")
-		supersF    = flag.String("superbatches", "1,4,8", "super-batch depths (strips) for the -parallel sweep")
-		lanesF     = flag.String("lanes", "1,2,4,8", "strip widths (words) for the -parallel sweep, each in {1, 2, 4, 8}")
-		jsonPath   = flag.String("json", "", "write the -parallel matrix as JSON to this file")
-		minTime    = flag.Duration("mintime", minMeasure, "minimum wall time per software measurement round")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
+		codeName  = flag.String("code", "c2", "registry code to measure (c2, c2s, ds12, ds23, ds45)")
+		itersFlag = flag.String("iters", "10,18,50", "comma-separated iteration counts")
+		clock     = flag.Float64("clock", 200, "system clock in MHz")
+		detail    = flag.Bool("detail", false, "print the cycle breakdown per configuration")
+		batchN    = flag.Int("batch", 0, "also measure software throughput, scalar vs n-frame packed SWAR (2..8)")
+		batchFr   = flag.Int("batchframes", 64, "frames per software throughput measurement")
 	)
 	flag.Parse()
-
-	if *minTime <= 0 {
-		return fmt.Errorf("-mintime must be positive")
-	}
-	minMeasure = *minTime
 
 	// Validate the software-measurement geometry before any simulation
 	// work, so a bad flag fails immediately with a precise message.
 	if *batchN != 0 && (*batchN < 2 || *batchN > batch.Lanes) {
 		return fmt.Errorf("-batch must be in [2,%d]", batch.Lanes)
-	}
-	shards, err := parseInts(*shardsF)
-	if err != nil {
-		return fmt.Errorf("-shards: %w", err)
-	}
-	supers, err := parseInts(*supersF)
-	if err != nil {
-		return fmt.Errorf("-superbatches: %w", err)
-	}
-	lanes, err := parseInts(*lanesF)
-	if err != nil {
-		return fmt.Errorf("-lanes: %w", err)
-	}
-	for _, w := range supers {
-		if w < 1 || w > batch.MaxSuperBatch {
-			return fmt.Errorf("-superbatches entries must be in [1,%d], got %d", batch.MaxSuperBatch, w)
-		}
-	}
-	for _, l := range lanes {
-		if !batch.ValidLaneWidth(l) {
-			return fmt.Errorf("-lanes entries must be in {1, 2, 4, 8}, got %d", l)
-		}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	iters, err := parseInts(*itersFlag)
@@ -172,27 +106,7 @@ func run() error {
 	}
 
 	if *batchN > 0 {
-		if err := softwareBatchReport(c, punctured, *batchN, *batchFr); err != nil {
-			return err
-		}
-	}
-
-	if *parallel {
-		if err := parallelReport(c, punctured, shards, supers, lanes, *jsonPath); err != nil {
-			return err
-		}
-	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
+		return softwareBatchReport(c, punctured, *batchN, *batchFr)
 	}
 	return nil
 }
@@ -225,28 +139,6 @@ func noisyFrames(c *code.Code, punctured []int, f fixed.Format, n int) ([][]int1
 // mean seconds per frame. Elapsed time is bounded below by minMeasure,
 // so the derived rates cannot hit a zero or sub-resolution interval.
 func perFrameSeconds(framesPerCall int, fn func() error) (float64, error) {
-	return perFrameSecondsN(1, framesPerCall, fn)
-}
-
-// perFrameSecondsN takes the best of `rounds` independent measurements
-// — the best sustained rate is the one least disturbed by scheduler
-// and frequency jitter, which on a shared single-core host otherwise
-// swamps the few-percent effects a sweep is trying to resolve.
-func perFrameSecondsN(rounds, framesPerCall int, fn func() error) (float64, error) {
-	best := 0.0
-	for r := 0; r < rounds; r++ {
-		spf, err := perFrameSecondsOnce(framesPerCall, fn)
-		if err != nil {
-			return 0, err
-		}
-		if best == 0 || spf < best {
-			best = spf
-		}
-	}
-	return best, nil
-}
-
-func perFrameSecondsOnce(framesPerCall int, fn func() error) (float64, error) {
 	frames := 0
 	start := time.Now()
 	for {
@@ -267,9 +159,6 @@ func perFrameSecondsOnce(framesPerCall int, fn func() error) (float64, error) {
 // deterministic noisy frames (4.2 dB, Q(5,1), 18 iterations at a fixed
 // decoding period like the architecture model).
 func softwareBatchReport(c *code.Code, punctured []int, lanes, frames int) error {
-	if lanes < 2 || lanes > batch.Lanes {
-		return fmt.Errorf("-batch must be in [2,%d]", batch.Lanes)
-	}
 	if frames < lanes {
 		frames = lanes
 	}
@@ -322,147 +211,6 @@ func softwareBatchReport(c *code.Code, punctured []int, lanes, frames int) error
 	fmt.Printf("  packed SWAR x%d            %10.1f frames/s %12.0f ns/frame %10.2f Mbit/s   speedup x%.1f\n",
 		lanes, 1/packedSPF, packedSPF*1e9, mbps(packedSPF), scalarSPF/packedSPF)
 	return nil
-}
-
-// ParallelCell is one (shards, superbatch, lanes) measurement of the
-// sharded wide-lane super-batch decoder.
-type ParallelCell struct {
-	Shards          int     `json:"shards"`
-	SuperBatch      int     `json:"superbatch"`
-	LaneWidth       int     `json:"lane_width"`
-	Frames          int     `json:"frames_per_call"`
-	FramesPerSec    float64 `json:"frames_per_sec"`
-	NsPerFrame      float64 `json:"ns_per_frame"`
-	Mbps            float64 `json:"mbps"`
-	P50BatchMicros  float64 `json:"p50_batch_latency_us"`
-	SpeedupVsShard1 float64 `json:"speedup_vs_shards1"`
-}
-
-// ParallelMatrix is the JSON document -json writes: the measurement
-// matrix plus enough host context to interpret it (a shards sweep on a
-// single-core box is expected to be flat).
-type ParallelMatrix struct {
-	NumCPU     int            `json:"num_cpu"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	GoVersion  string         `json:"go_version"`
-	CodeN      int            `json:"code_n"`
-	CodeK      int            `json:"code_k"`
-	Iterations int            `json:"iterations"`
-	Format     string         `json:"format"`
-	Matrix     []ParallelCell `json:"matrix"`
-}
-
-// parallelReport sweeps the sharded wide-lane super-batch decoder over
-// the (shards × superbatches × lanes) matrix on full super-batches of
-// deterministic noisy frames, printing a table and optionally writing
-// JSON.
-func parallelReport(c *code.Code, punctured []int, shards, supers, lanes []int, jsonPath string) error {
-	p := fixed.DefaultHighSpeedParams()
-	p.DisableEarlyStop = true
-	maxFrames := 0
-	for _, w := range supers {
-		for _, l := range lanes {
-			if w*l*batch.Lanes > maxFrames {
-				maxFrames = w * l * batch.Lanes
-			}
-		}
-	}
-	qs, err := noisyFrames(c, punctured, p.Format, maxFrames)
-	if err != nil {
-		return err
-	}
-
-	doc := ParallelMatrix{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		CodeN:      c.N,
-		CodeK:      c.K,
-		Iterations: p.MaxIterations,
-		Format:     p.Format.String(),
-	}
-	type baseKey struct{ w, l int }
-	base := map[baseKey]float64{} // (superbatch, lanes) → shards=1 seconds/frame
-	fmt.Printf("\nSharded wide-lane super-batch decoder — Q(%d,%d), %d iterations, fixed period, GOMAXPROCS=%d, NumCPU=%d:\n",
-		p.Format.Bits, p.Format.Frac, p.MaxIterations, doc.GOMAXPROCS, doc.NumCPU)
-	fmt.Printf("  %6s %10s %6s %8s %12s %12s %10s %14s %8s\n",
-		"shards", "superbatch", "lanes", "frames", "frames/s", "ns/frame", "Mbit/s", "p50 batch µs", "speedup")
-	for _, w := range supers {
-		for _, l := range lanes {
-			for _, s := range shards {
-				d, err := batch.NewParallel(c, p, batch.ParallelConfig{Shards: s, SuperBatch: w, LaneWidth: l})
-				if err != nil {
-					return err
-				}
-				nf := d.Capacity()
-				spf, err := perFrameSecondsN(5, nf, func() error {
-					_, err := d.DecodeQ(qs[:nf])
-					return err
-				})
-				if err != nil {
-					d.Close()
-					return err
-				}
-				p50, err := p50BatchLatency(d, qs[:nf])
-				d.Close()
-				if err != nil {
-					return err
-				}
-				cell := ParallelCell{
-					Shards:         s,
-					SuperBatch:     w,
-					LaneWidth:      l,
-					Frames:         nf,
-					FramesPerSec:   1 / spf,
-					NsPerFrame:     spf * 1e9,
-					Mbps:           float64(c.K) / spf / 1e6,
-					P50BatchMicros: p50.Seconds() * 1e6,
-				}
-				if s == 1 {
-					base[baseKey{w, l}] = spf
-				}
-				if b, ok := base[baseKey{w, l}]; ok && b > 0 {
-					cell.SpeedupVsShard1 = b / spf
-				}
-				doc.Matrix = append(doc.Matrix, cell)
-				fmt.Printf("  %6d %10d %6d %8d %12.1f %12.0f %10.2f %14.1f %7.2fx\n",
-					cell.Shards, cell.SuperBatch, cell.LaneWidth, cell.Frames,
-					cell.FramesPerSec, cell.NsPerFrame,
-					cell.Mbps, cell.P50BatchMicros, cell.SpeedupVsShard1)
-			}
-		}
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// p50BatchLatency measures the median wall time of a single full
-// super-batch decode: the latency a synchronous caller sees, as opposed
-// to the pipelined throughput of the timed loop.
-func p50BatchLatency(d *batch.Parallel, qs [][]int16) (time.Duration, error) {
-	var samples []time.Duration
-	start := time.Now()
-	for len(samples) < 9 || time.Since(start) < minMeasure {
-		t0 := time.Now()
-		if _, err := d.DecodeQ(qs); err != nil {
-			return 0, err
-		}
-		samples = append(samples, time.Since(t0))
-		if len(samples) >= 1024 {
-			break
-		}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[len(samples)/2], nil
 }
 
 // paperIfDefault returns the paper comparison column only when the run

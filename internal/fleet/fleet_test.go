@@ -70,16 +70,16 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		t.Fatalf("listen: %v", err)
 	}
 	fb := &fakeBackend{l: l, conns: make(map[net.Conn]struct{})}
-	go fb.accept()
+	go fb.accept(l)
 	t.Cleanup(fb.kill)
 	return fb
 }
 
 func (fb *fakeBackend) addr() string { return fb.l.Addr().String() }
 
-func (fb *fakeBackend) accept() {
+func (fb *fakeBackend) accept(l net.Listener) {
 	for {
-		c, err := fb.l.Accept()
+		c, err := l.Accept()
 		if err != nil {
 			return
 		}
@@ -173,9 +173,30 @@ func (fb *fakeBackend) kill() {
 		return
 	}
 	fb.closed = true
+	l := fb.l
 	fb.mu.Unlock()
-	fb.l.Close()
+	l.Close()
 	fb.closeConns()
+}
+
+// restart brings a killed backend back on its old address, retrying
+// briefly while the old listener's port frees, as a restarted process
+// would.
+func (fb *fakeBackend) restart(t testing.TB) {
+	t.Helper()
+	addr := fb.addr()
+	l, err := net.Listen("tcp", addr)
+	for i := 0; err != nil && i < 20; i++ {
+		time.Sleep(50 * time.Millisecond)
+		l, err = net.Listen("tcp", addr)
+	}
+	if err != nil {
+		t.Fatalf("restart on %s: %v", addr, err)
+	}
+	fb.mu.Lock()
+	fb.l, fb.closed = l, false
+	fb.mu.Unlock()
+	go fb.accept(l)
 }
 
 func backendOf(name string, fb *fakeBackend, p Probe) BackendConfig {
@@ -466,9 +487,11 @@ func TestBackendLossRequeueOnce(t *testing.T) {
 	if s.Requeues > n {
 		t.Errorf("Requeues = %d beyond one per frame (%d)", s.Requeues, n)
 	}
-	if snap := backendSnap(s, "a"); snap.State != "down" {
-		t.Errorf("killed backend state %q, want down", snap.State)
-	}
+	// The requeues can finish before the pool's redial fails and marks
+	// the backend down, so wait for that rather than reading it once.
+	waitFor(t, 2*time.Second, func() bool {
+		return backendSnap(r.Metrics().Snapshot(), "a").State == "down"
+	}, "the killed backend to be marked down")
 
 	// New frames must route around the corpse without touching it.
 	before := a.frames.Load()
@@ -483,6 +506,109 @@ func TestBackendLossRequeueOnce(t *testing.T) {
 	if after := a.frames.Load(); after != before {
 		t.Errorf("dead backend received %d new frames", after-before)
 	}
+}
+
+// TestBackendRestartRecovers is instance death and return under load:
+// 8 submitters push 600 mixed-code frames through four backends, one
+// dies abruptly at a quarter of the frames and comes back on its
+// address at half. Every frame must be answered with its own echo
+// before the request timeout, in at most one attempt beyond the first,
+// and once the dial probe re-admits the restarted backend the ring must
+// be whole again and route it new frames.
+func TestBackendRestartRecovers(t *testing.T) {
+	const timeout = 2 * time.Second
+	backs := make([]*fakeBackend, 4)
+	cfgs := make([]BackendConfig, len(backs))
+	for i := range backs {
+		backs[i] = newFakeBackend(t)
+		cfgs[i] = backendOf(string(rune('a'+i)), backs[i], nil)
+	}
+	r := testRouter(t, Config{
+		PollInterval:   20 * time.Millisecond,
+		ReadmitAfter:   2,
+		RetryBurst:     64,
+		RequestTimeout: timeout,
+	}, cfgs...)
+	ringPoints := r.Metrics().Snapshot().RingPoints
+
+	const submitters, n, extra = 8, 600, 64
+	payloads := make([][]byte, n+extra)
+	for i := range payloads {
+		switch i % 3 {
+		case 0:
+			payloads[i] = v1Frame(i)
+		case 1:
+			payloads[i] = v2Frame(2, i)
+		default:
+			payloads[i] = v2Frame(7, i)
+		}
+	}
+	resps := make([][]byte, len(payloads))
+	errs := make([]error, len(payloads))
+	took := make([]time.Duration, len(payloads))
+	submit := func(i int) {
+		id := byte(0)
+		if payloads[i][0] == serve.ProtoV2Magic {
+			id = payloads[i][1]
+		}
+		t0 := time.Now()
+		resps[i], errs[i] = r.Submit(id, payloads[i])
+		took[i] = time.Since(t0)
+	}
+	var next, done atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				submit(i)
+				done.Add(1)
+			}
+		}()
+	}
+	victim := backs[0]
+	waitFor(t, 10*time.Second, func() bool { return done.Load() >= n/4 }, "a quarter of the frames")
+	victim.kill()
+	waitFor(t, 10*time.Second, func() bool {
+		return done.Load() >= n/2 && backendSnap(r.Metrics().Snapshot(), "a").State == "down"
+	}, "half of the frames, with the killed backend down")
+	victim.restart(t)
+	wg.Wait()
+
+	waitFor(t, 5*time.Second, func() bool {
+		s := r.Metrics().Snapshot()
+		return s.ActiveBackends == len(backs) && s.RingPoints == ringPoints
+	}, "the restarted backend to rejoin the ring")
+	before := victim.frames.Load()
+	for i := n; i < n+extra; i++ {
+		submit(i)
+	}
+	if victim.frames.Load() == before {
+		t.Error("restarted backend received none of the frames after its re-admission")
+	}
+
+	for i := range payloads {
+		if errs[i] != nil {
+			t.Fatalf("frame %d: %v", i, errs[i])
+		}
+		if took[i] >= timeout {
+			t.Errorf("frame %d answered after %v, at or beyond the %v request timeout", i, took[i], timeout)
+		}
+		checkEcho(t, resps[i], payloads[i])
+		var attempts int64
+		for _, b := range backs {
+			attempts += b.attempts(llrsOf(payloads[i]))
+		}
+		if attempts > 2 {
+			t.Errorf("frame %d made %d attempts, want <= 2", i, attempts)
+		}
+	}
+	s := r.Metrics().Snapshot()
+	if s.Requeues > int64(len(payloads)) {
+		t.Errorf("Requeues = %d beyond one per frame (%d)", s.Requeues, len(payloads))
+	}
+	assertBalanced(t, s)
 }
 
 // TestShedReroutes verifies a shedding backend's frames reroute once to

@@ -74,8 +74,8 @@ func HTTPProbe(url string, timeout time.Duration) Probe {
 
 // SnapshotProbe wraps an in-process health source — a serve.Server's or
 // registry.Mux's HealthSnapshot method — so a fleet of in-process
-// backends (tests, cmd/ldpcload -fleet) shares the exact /healthz truth
-// without HTTP.
+// backends (tests, the fleet-mixed benchmark) shares the exact /healthz
+// truth without HTTP.
 func SnapshotProbe(fn func() serve.HealthSnapshot) Probe {
 	return func() (serve.HealthSnapshot, error) {
 		return fn(), nil

@@ -190,7 +190,7 @@ type CodeSnapshot struct {
 
 // MuxSnapshot is the multi-mode server's instrumentation: the front
 // door's request counters plus every served code's pool metrics, broken
-// out per code the way BENCH_multimode reads them.
+// out per code.
 type MuxSnapshot struct {
 	DefaultCode string `json:"default_code"`
 	serve.FrontCounts

@@ -19,10 +19,19 @@
 # deleted with the temporary directory).
 #
 # Per workload and end-to-end metric it prints each side's median and
-# interquartile range, the change's wins out of the pairs (ties count
-# for neither side; "better" comes from BENCHMARK.json), the ratio of
-# the medians (change / parent), the metric's bound, and WORSE when the
-# change's median is worse than the parent's by more than the bound.
+# interquartile range (IQR), the change's wins out of the pairs (ties
+# count for neither side; "better" comes from BENCHMARK.json), the
+# ratio of the medians (change / parent), the metric's bound, and every
+# verdict that holds:
+#
+#   WORSE       the change's median is worse than the parent's by more
+#               than the bound;
+#   GAIN        the change wins at least nine tenths of the pairs, and
+#               its median is better than the parent's by more than the
+#               parent's IQR;
+#   UNRESOLVED  either side's IQR exceeds the bound times the parent's
+#               median, and not every change run beats every parent run.
+#
 # Per workload and side it prints the median core_speed and the summed
 # failed/attempted counts, and flags any run whose correctness gate
 # failed. Needs bash, git, awk and jq.
@@ -102,7 +111,8 @@ awk -F'\t' -v order="$workloads" '
 		lo = int(h)
 		return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 	}
-	# stats key: sorts the samples of key into s[] and sets med, iqr
+	# stats key: sorts the samples of key into s[] and sets med, iqr,
+	# lo and hi (the smallest and largest sample)
 	function stats(key,    n, i, j, t) {
 		n = cnt[key]
 		for (i = 1; i <= n; i++) s[i] = val[key, i]
@@ -110,6 +120,7 @@ awk -F'\t' -v order="$workloads" '
 			for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
 		med = n ? quant(s, n, 0.5) : "nan"
 		iqr = n ? quant(s, n, 0.75) - quant(s, n, 0.25) : "nan"
+		lo = s[1]; hi = s[n]
 		return n
 	}
 	FNR == NR { better[$1] = $2; bound[$1] = $3; names[++nm] = $1; next }
@@ -129,9 +140,9 @@ awk -F'\t' -v order="$workloads" '
 			for (b = 1; b <= nm; b++) {
 				m = names[b]
 				if (!stats(w SUBSEP "parent" SUBSEP m)) continue
-				pm = med; pi = iqr
+				pm = med; pi = iqr; plo = lo; phi = hi
 				if (!stats(w SUBSEP "change" SUBSEP m)) continue
-				cm = med; ci = iqr
+				cm = med; ci = iqr; clo = lo; chi = hi
 				wins = 0; n = 0
 				for (i = 1; i <= np[w]; i++) {
 					p = pl[w, i]
@@ -142,9 +153,14 @@ awk -F'\t' -v order="$workloads" '
 					if (d > 0) wins++
 				}
 				ratio = pm != 0 ? cm / pm : "inf"
-				worse = better[m] == "higher" ? cm < pm * (1 - bound[m]) : cm > pm * (1 + bound[m])
+				up = better[m] == "higher"
+				verdict = ""
+				if (up ? cm < pm * (1 - bound[m]) : cm > pm * (1 + bound[m])) verdict = verdict "  WORSE"
+				if (n > 0 && wins * 10 >= 9 * n && (up ? cm - pm : pm - cm) > pi) verdict = verdict "  GAIN"
+				spread = bound[m] * (pm < 0 ? -pm : pm)
+				if ((pi > spread || ci > spread) && !(up ? clo > phi : chi < plo)) verdict = verdict "  UNRESOLVED"
 				printf "%-15s %-15s %11.4g %9.3g %11.4g %9.3g %3d/%-2d %8.3g %6.2f%s\n",
-					w, m, pm, pi, cm, ci, wins, n, ratio, bound[m], worse ? "  WORSE" : ""
+					w, m, pm, pi, cm, ci, wins, n, ratio, bound[m], verdict
 			}
 			for (si = 1; si <= 2; si++) {
 				side = si == 1 ? "parent" : "change"
