@@ -7,12 +7,12 @@ check:
 # the Monte-Carlo harness, the packed decoder and its shard pool, the
 # SEU protection layer shared by every decoder, the cross-decoder fault
 # oracle that exercises the shard pool under injection, the batching
-# decode server with its scheduler and worker pool, the multi-code mux
+# decode server whose workers gather their own batches, the multi-code mux
 # with its lazily built per-code pools and the completions its decode
 # workers run, the streaming station front end whose group submissions
 # keep a whole group in flight in that server,
 # and the fleet routing tier whose hedges, requeues and health-driven
-# ring rebuilds race against backend death. The race detector does not
+# weight changes race against backend death. The race detector does not
 # instrument assembly, so the packed decoder runs once more under the
 # purego tag, where lane widths 4 and 8 take the generic Go kernels and
 # their reads and writes across shards stay checked.

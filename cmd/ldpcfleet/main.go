@@ -1,17 +1,18 @@
 // Command ldpcfleet is the fault-tolerant routing front tier over a
 // fleet of ldpcserver instances. Clients connect to it exactly as they
 // would to one server — the same length-prefixed v1/v2 protocol — and
-// each frame is routed by consistent hash over (code tag, frame
-// counter) to a backend, with health-aware rebalancing, hedged retries
-// under a global budget, at-most-once requeue of frames lost to a dying
-// instance, and upstream backpressure when the whole fleet saturates.
+// the frames are dealt to the backends by weighted round-robin, with
+// health-aware weights, hedged retries under a global budget,
+// at-most-once requeue of frames lost to a dying instance, and upstream
+// backpressure when the whole fleet saturates.
 //
 // Backends are named with -backends; each backend's health is polled
 // from its /healthz endpoint when -healthz supplies one (positionally
 // matched, and exactly what ldpcserver serves there), falling back to a
 // TCP dial probe on its decode address otherwise. An unhealthy or
-// draining backend leaves the ring while its in-flight frames complete;
-// it rejoins after -readmit consecutive healthy probes.
+// draining backend takes no new frames while its in-flight frames
+// complete, and a degraded one takes half its share; a drained backend
+// rejoins after -readmit consecutive healthy probes.
 //
 // The HTTP listener exposes fleet-wide observability:
 //
@@ -35,8 +36,7 @@
 //	ldpcfleet -backends host:7070,host2:7070 [-healthz url1,url2]
 //	          [-addr :7080] [-http :7081] [-codes all] [-conns 4]
 //	          [-pipeline 32] [-timeout 2s] [-hedge 0] [-retryburst 16]
-//	          [-retryratio 0.1] [-poll 500ms] [-readmit 3] [-vnodes 64]
-//	          [-maxinflight 0]
+//	          [-retryratio 0.1] [-poll 500ms] [-readmit 3] [-maxinflight 0]
 package main
 
 import (
@@ -74,7 +74,6 @@ func main() {
 		retryRatio  = flag.Float64("retryratio", 0.1, "retry tokens earned per successful frame")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "health probe period")
 		readmit     = flag.Int("readmit", 3, "consecutive healthy probes before a drained backend rejoins")
-		vnodes      = flag.Int("vnodes", 64, "ring points per unit of backend weight")
 	)
 	flag.Parse()
 
@@ -117,7 +116,6 @@ func main() {
 		RetryBurst:      *retryBurst,
 		PollInterval:    *poll,
 		ReadmitAfter:    *readmit,
-		VirtualNodes:    *vnodes,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // additionally has its claimed frames requeued as its connections die.
 // Both drained states re-admit the same way: ReadmitAfter consecutive
 // healthy probes, the hysteresis that keeps a flapping instance from
-// oscillating in and out of the ring.
+// oscillating in and out of rotation.
 const (
 	stateActive int32 = iota
 	stateDraining
@@ -47,7 +47,8 @@ type backend struct {
 
 	state    atomic.Int32
 	degraded atomic.Bool
-	streak   int // consecutive healthy probes; poller-goroutine-local
+	streak   int     // consecutive healthy probes; poller-goroutine-local
+	credit   float64 // round-robin credit, guarded by Router.pickMu
 
 	pending atomic.Int64 // attempts queued or awaiting response
 
@@ -78,8 +79,7 @@ func newBackend(idx int, bc BackendConfig, cfg Config) *backend {
 
 // weight folds health into routing: a healthy backend carries full
 // weight, a degraded (tripped-breaker) one half — still routable, but
-// the ring sends it half the keyspace — and a draining or down backend
-// none.
+// picked half as often — and a draining or down backend none.
 func (b *backend) weight() float64 {
 	if b.state.Load() != stateActive {
 		return 0
@@ -90,12 +90,11 @@ func (b *backend) weight() float64 {
 	return 1
 }
 
-// setState transitions the backend and rebuilds the ring when the
-// transition is real. Returns whether it was.
-func (b *backend) setState(r *Router, next int32) bool {
+// setState transitions the backend, counting drains and re-admissions.
+func (b *backend) setState(next int32) {
 	prev := b.state.Swap(next)
 	if prev == next {
-		return false
+		return
 	}
 	if prev == stateActive {
 		b.drains.Add(1)
@@ -103,8 +102,6 @@ func (b *backend) setState(r *Router, next int32) bool {
 	if next == stateActive {
 		b.readmits.Add(1)
 	}
-	r.rebuildRing()
-	return true
 }
 
 func (b *backend) noteStatus(status byte) {
@@ -141,7 +138,7 @@ func (r *Router) runBackendConn(b *backend) {
 		if err != nil {
 			b.dialFails.Add(1)
 			b.noteErr(err)
-			b.setState(r, stateDown)
+			b.setState(stateDown)
 			// The backend is definitively unreachable; frames still
 			// waiting in its queue would sit until their deadlines.
 			// Fail them now so each requeues (at most once) immediately.
@@ -285,8 +282,8 @@ func (r *Router) drainQueue(b *backend, err error) {
 
 // pollBackend folds the health probe into routing state on every tick:
 // unhealthy or unreachable drains (down stays down — only the streak
-// re-admits), a healthy streak of ReadmitAfter re-admits, and a
-// degraded flip rebalances weights.
+// re-admits), a healthy streak of ReadmitAfter re-admits, and the
+// degraded flag sets the half weight.
 func (r *Router) pollBackend(b *backend) {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.PollInterval)
@@ -305,19 +302,14 @@ func (r *Router) pollBackend(b *backend) {
 				b.noteErr(err)
 			}
 			if b.state.Load() == stateActive {
-				b.setState(r, stateDraining)
+				b.setState(stateDraining)
 			}
 			continue
 		}
 		b.streak++
-		wasDegraded := b.degraded.Swap(h.Degraded)
-		switch {
-		case b.state.Load() != stateActive:
-			if b.streak >= r.cfg.ReadmitAfter {
-				b.setState(r, stateActive)
-			}
-		case wasDegraded != h.Degraded:
-			r.rebuildRing()
+		b.degraded.Store(h.Degraded)
+		if b.state.Load() != stateActive && b.streak >= r.cfg.ReadmitAfter {
+			b.setState(stateActive)
 		}
 	}
 }

@@ -10,24 +10,24 @@
 // ldpcserver, and it forwards each request payload verbatim to a
 // backend over a per-backend connection pool. Nothing is re-encoded and
 // nothing is decoded here — the router parses each request only far
-// enough to learn its code tag, which (with a monotone frame counter)
-// is the consistent-hash key choosing the backend. Consistent hashing
-// keeps the mapping stable as the ring changes: when an instance drains
-// or dies, only its own frames move.
+// enough to validate its code tag and frame length. Frames go to the
+// routable backends by smooth weighted round-robin: each backend takes
+// exactly its weight's share of new frames, interleaved rather than in
+// runs.
 //
 // Health feeds routing. A poller probes every backend (its /healthz
 // endpoint, a dial check, or an in-process snapshot — see Probe) and
-// folds the verdict into ring weights: a 503 or unreachable backend is
-// drained — removed from the ring for new frames while its in-flight
-// frames complete — and re-admitted only after a hysteretic streak of
-// healthy probes; a tripped-breaker (degraded) backend stays routable
-// at half weight. Dial failures mark a backend down immediately; a
-// mid-stream connection loss only costs that connection, and every
-// frame the dead connection had claimed but not answered is requeued to
-// another backend at most once — the decode is a pure function, so a
-// duplicate attempt is idempotent, and a first-completion-wins
-// hand-off guarantees each frame is delivered to its caller exactly
-// once or reported lost, never twice.
+// folds the verdict into the backend's weight: a 503 or unreachable
+// backend is drained — weight 0, so it takes no new frames while its
+// in-flight frames complete — and re-admitted only after a hysteretic
+// streak of healthy probes; a tripped-breaker (degraded) backend stays
+// routable at half weight. Dial failures mark a backend down
+// immediately; a mid-stream connection loss only costs that connection,
+// and every frame the dead connection had claimed but not answered is
+// requeued to another backend at most once — the decode is a pure
+// function, so a duplicate attempt is idempotent, and a
+// first-completion-wins hand-off guarantees each frame is delivered to
+// its caller exactly once or reported lost, never twice.
 //
 // Retries are budgeted. Requeues after connection loss, reroutes after
 // a backend sheds (StatusOverloaded/Deadline/Internal), and hedged
@@ -87,7 +87,7 @@ type Config struct {
 	// Backends is the fleet; at least one.
 	Backends []BackendConfig
 	// Codebook classifies v1/v2 requests (code tag + frame length) so
-	// the router can hash and validate without building any code.
+	// the router can validate them without building any code.
 	// registry.NewCodebook provides the production implementation.
 	Codebook serve.Codebook
 
@@ -122,13 +122,10 @@ type Config struct {
 
 	// PollInterval is the health-probe period (default 500ms).
 	// ReadmitAfter is the hysteresis: consecutive healthy probes a
-	// drained or down backend needs before rejoining the ring (default
-	// 3).
+	// drained or down backend needs before it is routed frames again
+	// (default 3).
 	PollInterval time.Duration
 	ReadmitAfter int
-	// VirtualNodes is the ring points per unit of backend weight
-	// (default 64).
-	VirtualNodes int
 }
 
 func (c *Config) setDefaults() error {
@@ -200,12 +197,6 @@ func (c *Config) setDefaults() error {
 	if c.ReadmitAfter < 1 {
 		return fmt.Errorf("fleet: readmit after %d", c.ReadmitAfter)
 	}
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = 64
-	}
-	if c.VirtualNodes < 1 {
-		return fmt.Errorf("fleet: %d virtual nodes", c.VirtualNodes)
-	}
 	return nil
 }
 
@@ -216,7 +207,6 @@ func (c *Config) setDefaults() error {
 // that makes "requeue at most once" safe.
 type call struct {
 	payload []byte // full request payload, router-owned copy
-	key     uint64 // consistent-hash key: (code ID, frame counter)
 
 	completed   atomic.Bool
 	outstanding atomic.Int32 // attempts enqueued or in flight
@@ -251,9 +241,7 @@ type Router struct {
 	budget   *retryBudget
 	metrics  *Metrics
 
-	ring     atomic.Pointer[ring]
-	ringMu   sync.Mutex // serializes rebuilds
-	counter  atomic.Uint64
+	pickMu   sync.Mutex // guards every backend's credit
 	inflight atomic.Int64
 
 	closed atomic.Bool
@@ -262,8 +250,8 @@ type Router struct {
 }
 
 // New builds and starts a router: connection pools begin dialing and
-// the health poller starts immediately, so by the first Submit the ring
-// reflects reality.
+// the health poller starts immediately, so by the first Submit the
+// backends' weights reflect reality.
 func New(cfg Config) (*Router, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -279,7 +267,6 @@ func New(cfg Config) (*Router, error) {
 		r.backends = append(r.backends, b)
 	}
 	r.metrics = newMetrics(r)
-	r.rebuildRing()
 	for _, b := range r.backends {
 		for s := 0; s < cfg.ConnsPerBackend; s++ {
 			r.wg.Add(1)
@@ -299,8 +286,8 @@ func (r *Router) Metrics() *Metrics { return r.metrics }
 
 // Submit routes one request payload (v1 or v2, forwarded verbatim) to a
 // backend and returns the backend's raw response payload. codeID is the
-// request's parsed code tag — the hash key component — which the front
-// door parses from every request; direct callers must do the same. Submit is
+// request's parsed code tag, as the front door passes it; routing does
+// not read it, since every backend is offered every code. Submit is
 // safe for any number of concurrent callers and applies the full
 // fault-tolerance ladder: reroute on shed, requeue once on connection
 // loss, hedge on latency, shed with ErrOverloaded when saturated.
@@ -317,12 +304,7 @@ func (r *Router) Submit(codeID byte, payload []byte) ([]byte, error) {
 	}
 	defer r.inflight.Add(-1)
 
-	seq := r.counter.Add(1)
-	c := &call{
-		payload: payload,
-		key:     hashKey(codeID, seq),
-		done:    make(chan struct{}),
-	}
+	c := &call{payload: payload, done: make(chan struct{})}
 	if err := r.dispatch(c, nil); err != nil {
 		r.metrics.shedUpstream.Add(1)
 		return nil, err
@@ -373,11 +355,11 @@ func (r *Router) Submit(codeID byte, payload []byte) ([]byte, error) {
 	}
 }
 
-// dispatch places one attempt on a backend: the consistent-hash pick
-// first, the least-loaded routable backend when the pick is drained or
-// its queue is full. It never blocks — a fleet with no room sheds.
+// dispatch places one attempt on a backend: the round-robin pick
+// first, the least-loaded routable backend when the pick's queue is
+// full. It never blocks — a fleet with no room sheds.
 func (r *Router) dispatch(c *call, exclude *backend) error {
-	b := r.pickBackend(c.key, exclude)
+	b := r.pick(exclude)
 	if b == nil {
 		return ErrNoBackends
 	}
@@ -389,16 +371,34 @@ func (r *Router) dispatch(c *call, exclude *backend) error {
 	return nil
 }
 
-// pickBackend walks the ring from the key's point; a full ring walk
-// finding nothing routable falls back to least-loaded (the ring may be
-// mid-rebuild).
-func (r *Router) pickBackend(key uint64, exclude *backend) *backend {
-	if rg := r.ring.Load(); rg != nil {
-		if b := rg.pick(key, exclude); b != nil {
-			return b
+// pick is smooth weighted round-robin over the routable backends other
+// than exclude: each adds its weight to its credit, and the one with the
+// most credit wins and pays the weights' total. Each backend's share of
+// the picks is its weight's share of the total, and its turns are
+// interleaved with the others' rather than bunched: at weights 1, 1 and
+// ½ every five picks go 2, 2 and 1. A health change only changes a
+// weight, so the next pick follows it. It returns nil when no backend
+// but exclude is routable.
+func (r *Router) pick(exclude *backend) *backend {
+	r.pickMu.Lock()
+	defer r.pickMu.Unlock()
+	var best *backend
+	var total float64
+	for _, b := range r.backends {
+		w := b.weight()
+		if b == exclude || w == 0 {
+			continue
+		}
+		b.credit += w
+		total += w
+		if best == nil || b.credit > best.credit {
+			best = b
 		}
 	}
-	return r.leastLoaded(exclude, nil)
+	if best != nil {
+		best.credit -= total
+	}
+	return best
 }
 
 // leastLoaded returns the routable backend with the fewest pending
@@ -513,20 +513,6 @@ func (r *Router) Close() {
 	}
 	close(r.stop)
 	r.wg.Wait()
-}
-
-// hashKey is FNV-1a over (code ID, frame counter), finished with mix64
-// — the routing key. Including the code ID keeps a multi-code mix
-// spread even if one code dominates the counter's low bits; the counter
-// spreads frames of one code across the ring.
-func hashKey(codeID byte, seq uint64) uint64 {
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(codeID)) * 1099511628211
-	for i := 0; i < 8; i++ {
-		h = (h ^ (seq & 0xFF)) * 1099511628211
-		seq >>= 8
-	}
-	return mix64(h)
 }
 
 // retryBudget is the global token bucket bounding retry amplification:

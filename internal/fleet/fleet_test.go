@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,7 +315,7 @@ func backendSnap(s Snapshot, name string) BackendSnapshot {
 
 // TestSubmitRoutesAcrossBackends drives a mixed v1/v2 load through two
 // healthy backends: every frame must come back as its own echo, and the
-// consistent hash must spread the load over both instances.
+// round-robin must spread the load over both instances.
 func TestSubmitRoutesAcrossBackends(t *testing.T) {
 	a, b := newFakeBackend(t), newFakeBackend(t)
 	r := testRouter(t, Config{}, backendOf("a", a, nil), backendOf("b", b, nil))
@@ -513,8 +514,8 @@ func TestBackendLossRequeueOnce(t *testing.T) {
 // dies abruptly at a quarter of the frames and comes back on its
 // address at half. Every frame must be answered with its own echo
 // before the request timeout, in at most one attempt beyond the first,
-// and once the dial probe re-admits the restarted backend the ring must
-// be whole again and route it new frames.
+// and once the dial probe re-admits the restarted backend every backend
+// must be back at full weight and the restarted one routed new frames.
 func TestBackendRestartRecovers(t *testing.T) {
 	const timeout = 2 * time.Second
 	backs := make([]*fakeBackend, 4)
@@ -529,7 +530,6 @@ func TestBackendRestartRecovers(t *testing.T) {
 		RetryBurst:     64,
 		RequestTimeout: timeout,
 	}, cfgs...)
-	ringPoints := r.Metrics().Snapshot().RingPoints
 
 	const submitters, n, extra = 8, 600, 64
 	payloads := make([][]byte, n+extra)
@@ -578,8 +578,13 @@ func TestBackendRestartRecovers(t *testing.T) {
 
 	waitFor(t, 5*time.Second, func() bool {
 		s := r.Metrics().Snapshot()
-		return s.ActiveBackends == len(backs) && s.RingPoints == ringPoints
-	}, "the restarted backend to rejoin the ring")
+		for _, b := range s.Backends {
+			if b.Weight != 1 {
+				return false
+			}
+		}
+		return s.ActiveBackends == len(backs)
+	}, "the restarted backend to rejoin at full weight")
 	before := victim.frames.Load()
 	for i := n; i < n+extra; i++ {
 		submit(i)
@@ -652,9 +657,8 @@ func TestShedReroutes(t *testing.T) {
 }
 
 // TestDrainAndReadmit walks a backend through the health lifecycle via
-// its probe: unhealthy drains it (no new frames, ring shrinks), a
-// healthy streak re-admits it, and a degraded verdict halves its ring
-// weight.
+// its probe: unhealthy drains it (no new frames, weight 0), a healthy
+// streak re-admits it, and a degraded verdict halves its weight.
 func TestDrainAndReadmit(t *testing.T) {
 	a, b := newFakeBackend(t), newFakeBackend(t)
 	var aHealthy, aDegraded atomic.Bool
@@ -665,7 +669,6 @@ func TestDrainAndReadmit(t *testing.T) {
 	r := testRouter(t, Config{
 		PollInterval: 10 * time.Millisecond,
 		ReadmitAfter: 2,
-		VirtualNodes: 64,
 	}, backendOf("a", a, probeA), backendOf("b", b, nil))
 
 	submitOK := func(lo, hi int) {
@@ -681,11 +684,11 @@ func TestDrainAndReadmit(t *testing.T) {
 	}
 	submitOK(0, 16)
 
-	// Unhealthy probe → drain: out of the ring, no new frames.
+	// Unhealthy probe → drain: weight 0, no new frames.
 	aHealthy.Store(false)
 	waitFor(t, 2*time.Second, func() bool {
-		s := r.Metrics().Snapshot()
-		return backendSnap(s, "a").State == "draining" && s.RingPoints == 64
+		a := backendSnap(r.Metrics().Snapshot(), "a")
+		return a.State == "draining" && a.Weight == 0
 	}, "backend a to drain")
 	before := a.frames.Load()
 	submitOK(16, 32)
@@ -697,14 +700,14 @@ func TestDrainAndReadmit(t *testing.T) {
 	aDegraded.Store(true)
 	aHealthy.Store(true)
 	waitFor(t, 2*time.Second, func() bool {
-		s := r.Metrics().Snapshot()
-		return backendSnap(s, "a").State == "active" && s.RingPoints == 96
+		a := backendSnap(r.Metrics().Snapshot(), "a")
+		return a.State == "active" && a.Weight == 0.5
 	}, "backend a to re-admit at half weight")
 
 	// Degradation clears → full weight, traffic returns.
 	aDegraded.Store(false)
 	waitFor(t, 2*time.Second, func() bool {
-		return r.Metrics().Snapshot().RingPoints == 128
+		return backendSnap(r.Metrics().Snapshot(), "a").Weight == 1
 	}, "backend a to regain full weight")
 	submitOK(32, 64)
 	if got := a.frames.Load(); got == before {
@@ -999,26 +1002,52 @@ func TestConnLossReconnects(t *testing.T) {
 	}
 }
 
-// TestRingBalance guards the hash mixing: backends named like real
-// deployments (same host, nearby ports) must split the keyspace
-// near-evenly. Raw FNV-1a without a finalizer measured 89/11 here.
-func TestRingBalance(t *testing.T) {
-	r := &Router{cfg: Config{VirtualNodes: 64}}
+// TestRoundRobinShares checks the weighted round-robin on backends
+// named like same-host deployments: equal weights take strict turns,
+// health weights split the picks exactly, and an excluded backend is
+// never picked.
+func TestRoundRobinShares(t *testing.T) {
+	r := &Router{}
 	for i := 0; i < 4; i++ {
 		r.backends = append(r.backends, &backend{
+			idx: i,
 			cfg: BackendConfig{Name: fmt.Sprintf("127.0.0.1:%d", 7070+100*i)},
 		})
 	}
-	r.rebuildRing()
-	rg := r.ring.Load()
-	counts := make(map[*backend]int)
-	const n = 40000
-	for seq := uint64(0); seq < n; seq++ {
-		counts[rg.pick(hashKey(byte(seq%3), seq), nil)]++
+	// shares makes n picks and counts them per backend, and the picks
+	// that repeat the one before.
+	shares := func(n int, exclude *backend) (counts []int, repeats int) {
+		counts = make([]int, len(r.backends))
+		var last *backend
+		for i := 0; i < n; i++ {
+			b := r.pick(exclude)
+			if b == nil || b == exclude {
+				t.Fatalf("pick %d returned %v with %v excluded", i, b, exclude)
+			}
+			if b == last {
+				repeats++
+			}
+			counts[b.idx]++
+			last = b
+		}
+		return counts, repeats
 	}
-	for _, b := range r.backends {
-		if share := float64(counts[b]) / n; share < 0.10 || share > 0.45 {
-			t.Errorf("backend %s owns %.1f%% of the keyspace, want a fair share", b.cfg.Name, share*100)
+	got, repeats := shares(4000, nil)
+	if !slices.Equal(got, []int{1000, 1000, 1000, 1000}) || repeats != 0 {
+		t.Errorf("equal weights: 4000 picks split %v with %d repeats, want 1000 each and none", got, repeats)
+	}
+
+	r.backends[0].degraded.Store(true)
+	r.backends[1].state.Store(stateDraining)
+	if got, _ := shares(2500, nil); !slices.Equal(got, []int{500, 0, 1000, 1000}) {
+		t.Errorf("weights 0.5/0/1/1: 2500 picks split %v, want [500 0 1000 1000]", got)
+	}
+
+	r.backends[0].degraded.Store(false)
+	r.backends[1].state.Store(stateActive)
+	for _, ex := range r.backends {
+		if got, _ := shares(300, ex); got[ex.idx] != 0 {
+			t.Errorf("backend %s excluded but picked %d times", ex.cfg.Name, got[ex.idx])
 		}
 	}
 }

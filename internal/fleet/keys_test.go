@@ -63,7 +63,7 @@ func TestSnapshotKeySets(t *testing.T) {
 			"bad_frames", "budget_denied", "frames_completed",
 			"frames_deadline", "frames_in", "frames_lost", "frames_routed",
 			"healthy", "hedges", "requeues", "retry_budget_spent",
-			"retry_budget_tokens", "ring_points", "shed_upstream",
+			"retry_budget_tokens", "shed_upstream",
 			"unknown_code", "v1_frames", "v2_frames",
 			"latency_p50_us", "latency_p90_us", "latency_p99_us",
 		}},

@@ -8,8 +8,9 @@ import (
 )
 
 // Metrics is the fleet-wide instrumentation: the router's own counters
-// plus a per-backend breakdown and the live ring state, aggregated into
-// one snapshot the way a fleet /metrics endpoint serves it.
+// plus a per-backend breakdown with each backend's live state and
+// weight, aggregated into one snapshot the way a fleet /metrics
+// endpoint serves it.
 type Metrics struct {
 	r *Router
 
@@ -64,7 +65,6 @@ type Snapshot struct {
 	// /healthz verdict.
 	Healthy        bool `json:"healthy"`
 	ActiveBackends int  `json:"active_backends"`
-	RingPoints     int  `json:"ring_points"`
 
 	// At idle FramesIn = FramesCompleted + FramesLost + FramesDeadline
 	// + ShedUpstream.
@@ -109,9 +109,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		BudgetDenied:      m.budgetDenied.Load(),
 		RetryBudgetTokens: float64(r.budget.tokens.Load()) / 1000,
 		RetryBudgetSpent:  r.budget.spent.Load(),
-	}
-	if rg := r.ring.Load(); rg != nil {
-		s.RingPoints = len(rg.points)
 	}
 	for _, b := range r.backends {
 		bs := BackendSnapshot{

@@ -13,6 +13,11 @@ import (
 // health window and circuit breaker — so codes batch independently (an
 // 8-lane word never mixes codes; their graphs differ) and a noise storm
 // on one mission's code degrades only that code's pool.
+//
+// The worker budget is per pool too: at the template's default
+// Workers, each built pool runs max(1, GOMAXPROCS/Shards) decoders, so
+// a process with five codes built runs five times the decoders its
+// cores were budgeted for, and holds five pools' decoder memory.
 type Pools struct {
 	reg  *Registry
 	tmpl serve.Config

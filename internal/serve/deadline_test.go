@@ -201,8 +201,8 @@ func TestHealthTracksDecodeOutcomes(t *testing.T) {
 }
 
 // TestServerGoroutineLeak: a full create → decode → Close cycle must
-// return the process to its prior goroutine count — the batcher, the
-// worker pool and every caller must actually exit.
+// return the process to its prior goroutine count — the worker pool
+// and every caller must actually exit.
 func TestServerGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := smallCode(t)

@@ -110,8 +110,13 @@ type Counts struct {
 	// ErrWorkerCrash.
 	FramesCrashed int64 `json:"frames_crashed"`
 
-	// QueueDepth counts frames accepted but not yet dispatched;
-	// InFlight counts frames inside workers.
+	// QueueDepth counts frames accepted but not yet gathered by a
+	// worker; InFlight counts frames a worker has gathered and not yet
+	// answered or dropped. So FramesIn = FramesDecoded + FramesDeadline +
+	// FramesCrashed + QueueDepth + InFlight at any time, but for a
+	// DecodeQ frame abandoned at its deadline: it counts in
+	// FramesDeadline at once, and in QueueDepth or InFlight until a
+	// worker drops it.
 	QueueDepth int64 `json:"queue_depth"`
 	InFlight   int64 `json:"in_flight"`
 
@@ -148,8 +153,8 @@ type Metrics struct {
 	batches        atomic.Int64
 	iterations     atomic.Int64 // decoder iterations, summed over frames
 
-	queued  atomic.Int64 // frames in the queue + batcher, not yet dispatched
-	pending atomic.Int64 // frames dispatched to workers, not yet done
+	queued   atomic.Int64 // frames in the queue, not yet gathered by a worker
+	inFlight atomic.Int64 // frames a worker gathered, not yet answered or dropped
 
 	workerRestarts atomic.Int64 // workers rebuilt after a confined panic
 	framesCrashed  atomic.Int64 // claimed frames returned with ErrWorkerCrash
@@ -200,7 +205,7 @@ func (m *Metrics) counts() Counts {
 		FramesDeadline: m.framesDeadline.Load(),
 		FramesCrashed:  m.framesCrashed.Load(),
 		QueueDepth:     m.queued.Load(),
-		InFlight:       m.pending.Load(),
+		InFlight:       m.inFlight.Load(),
 		BreakerTrips:   m.breaker.trips.Load(),
 		Degraded:       m.breaker.tripped.Load(),
 	}
@@ -223,7 +228,7 @@ type Snapshot struct {
 	// panic.
 	WorkerRestarts int64 `json:"worker_restarts"`
 
-	// BatchFill[k-1] is the number of dispatched batches holding k
+	// BatchFill[k-1] is the number of decoded batches holding k
 	// frames, sized to the configured dispatch width; BatchFillMean is
 	// the mean batch occupancy and BatchFillFrac its fraction of
 	// DispatchWidth — the paper's packed memory words are fully used

@@ -1,17 +1,18 @@
 // Package serve is the decode-as-a-service layer over the frame-packed
-// SWAR decoder: an adaptive batching scheduler that packs frames from
-// concurrent clients into full 8-lane batches for a pool of workers,
-// each owning one batch.Parallel decoder.
+// SWAR decoder: a pool of workers, each owning one batch.Parallel
+// decoder, that pack frames from concurrent clients into full 8-lane
+// batches.
 //
 // The paper's high-speed instance earns its 8× throughput by storing 8
 // frames' messages in every memory word (Fig. 3) — which only pays off
 // when 8 frames are actually available every decoding period. On an
 // FPGA the frame buffer guarantees that; in a server, concurrent
-// clients do. The scheduler is the software frame buffer: it holds
-// arriving frames just long enough (Config.Linger) to fill a word's 8
-// lanes, then dispatches the batch to a worker owning a pre-built
-// decoder, so a loaded server decodes at the packed rate while a lone
-// frame still meets its latency SLO via the linger deadline.
+// clients do. The frame queue is the software frame buffer, and a free
+// worker takes its own batch from it: everything already queued at
+// once, and beyond that it holds the batch open just long enough
+// (Config.Linger) to fill a word's 8 lanes. A loaded server decodes at
+// the packed rate while a lone frame still meets its latency SLO via
+// the linger deadline.
 //
 // Config.Shards, Config.LaneWidth and Config.SuperBatch scale each
 // worker's decoder the way the paper scales the processing block with
@@ -19,8 +20,9 @@
 // shard goroutines (bit-identically), LaneWidth widens the kernel
 // strips to up to 8 words per step, and SuperBatch stacks up to 8
 // strips — together up to 64 memory words, 512 frames — into one
-// dispatch. Workers × Shards is budgeted against GOMAXPROCS so the
-// levels of parallelism compose instead of oversubscribing.
+// batch. By default one server's Workers × Shards is budgeted against
+// GOMAXPROCS; the budget is per server, so a process running several
+// servers (one per code in registry.Pools) runs that many budgets.
 //
 // Capacity is bounded end to end: a full queue sheds load with
 // ErrOverloaded instead of queueing without limit, and Close drains
@@ -76,10 +78,11 @@ type Config struct {
 	Params fixed.Params
 	// Workers is the decoder pool size. Each worker owns one pre-built
 	// packed decoder; nothing is allocated per request on the decode
-	// path. The default budgets Workers × Shards against GOMAXPROCS:
-	// max(1, GOMAXPROCS/Shards) workers, so sharding a decoder wider
-	// trades worker-level for intra-decode parallelism instead of
-	// oversubscribing the cores.
+	// path. The default budgets this server's Workers × Shards against
+	// GOMAXPROCS: max(1, GOMAXPROCS/Shards) workers, so sharding a
+	// decoder wider trades worker-level for intra-decode parallelism.
+	// The budget is per server: a process with one server per code
+	// (registry.Pools) spends a whole budget on each code it has built.
 	Workers int
 	// Shards spreads each worker's CN/BN phases across this many shard
 	// goroutines (default 1, the plain single-goroutine SWAR decoder).
@@ -95,18 +98,19 @@ type Config struct {
 	// 8×LaneWidth frames per kernel step with results bit-identical to
 	// every other width.
 	LaneWidth int
-	// MaxBatch is the dispatch width in frames,
+	// MaxBatch is the batch width in frames,
 	// 1..SuperBatch×LaneWidth×batch.Lanes (default
 	// SuperBatch×LaneWidth×batch.Lanes; 8 — the paper's packing factor
 	// — at the default SuperBatch and LaneWidth of 1).
 	MaxBatch int
-	// Linger is how long the scheduler holds a partial batch open for
-	// more frames before flushing it (default 500 µs). It is the
-	// latency price a lone frame pays for the chance of lane sharing.
+	// Linger is how long a worker holds a partial batch open for more
+	// frames, counted from its first frame's enqueue (default 500 µs).
+	// It is the latency price a lone frame pays for the chance of lane
+	// sharing.
 	Linger time.Duration
-	// QueueDepth bounds the frames accepted but not yet dispatched;
-	// submissions beyond it are shed with ErrOverloaded (default
-	// 4 × Workers × MaxBatch).
+	// QueueDepth bounds the frames accepted but not yet gathered by a
+	// worker; submissions beyond it are shed with ErrOverloaded
+	// (default 4 × Workers × MaxBatch).
 	QueueDepth int
 	// Deadline bounds how long a frame may wait to start decoding; 0
 	// disables. A worker that claims a frame older than the deadline
@@ -314,15 +318,6 @@ func (w *waiter) Complete(res ldpc.Result, err error) {
 	w.done <- struct{}{}
 }
 
-// job is one dispatched batch. Jobs are pooled; the request array is
-// sized for the widest possible dispatch (an 8-strip super-batch of
-// 8-word strips), of which only the first Config.MaxBatch entries are
-// ever used.
-type job struct {
-	reqs [batch.MaxFrames]*request
-	n    int
-}
-
 // Server is the decode service. Create with New, submit frames with
 // DecodeQ or Submit from any number of goroutines, stop with Close.
 type Server struct {
@@ -330,25 +325,26 @@ type Server struct {
 	graph   *ldpc.Graph                     // retained for rebuilding crashed workers' decoders
 	newDec  func() (*batch.Parallel, error) // decoder factory honoring Shards/SuperBatch/LaneWidth
 	in      chan *request
-	jobs    chan *job
 	metrics *Metrics
 	health  *latch // the /healthz verdict, evaluated at each poll
 	breaker *latch // the uncorrectable-frame circuit breaker
 
 	reqPool    sync.Pool
 	waiterPool sync.Pool
-	jobPool    sync.Pool
+
+	// gathering is held by the one worker receiving from in (see
+	// gather).
+	gathering sync.Mutex
 
 	mu     sync.RWMutex // guards closed vs. sends on in
 	closed bool
 
-	batcherWG sync.WaitGroup
-	workerWG  sync.WaitGroup
+	workerWG sync.WaitGroup
 }
 
 // New builds and starts a server: Workers decoders are constructed up
 // front (surfacing format/code incompatibilities immediately) and the
-// scheduler begins accepting frames.
+// workers begin gathering frames.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -378,16 +374,12 @@ func New(cfg Config) (*Server, error) {
 		graph:   g,
 		newDec:  newDec,
 		in:      make(chan *request, cfg.QueueDepth),
-		jobs:    make(chan *job, cfg.Workers),
 		metrics: newMetrics(cfg.Workers, cfg.MaxBatch, breaker),
 		health:  newLatch(cfg.HealthWindow, cfg.HealthThreshold, cfg.HealthRecoverThreshold, cfg.HealthMinSamples),
 		breaker: breaker,
 	}
 	s.reqPool.New = func() any { return new(request) }
 	s.waiterPool.New = func() any { return &waiter{done: make(chan struct{}, 1)} }
-	s.jobPool.New = func() any { return new(job) }
-	s.batcherWG.Add(1)
-	go s.batcher()
 	for w := range decs {
 		s.workerWG.Add(1)
 		go s.worker(w, decs[w])
@@ -449,7 +441,7 @@ func (s *Server) DecodeQ(q []int16, bits *bitvec.Vector) (ldpc.Result, error) {
 // outcome arrives through c, exactly once (see Completion). The caller
 // must leave q and bits alone until then. A steady-state Submit
 // allocates nothing, so a caller that keeps many frames in flight —
-// a pipelined connection, a group of frames — fills the scheduler's
+// a pipelined connection, a group of frames — fills the workers'
 // batches without a goroutine per frame.
 func (s *Server) Submit(q []int16, bits *bitvec.Vector, c Completion) {
 	if err := s.enqueue(q, bits, c); err != nil {
@@ -506,77 +498,18 @@ func (s *Server) recycle(req *request) {
 // either complete normally or are refused with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.batcherWG.Wait()
-		s.workerWG.Wait()
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.in)
 	}
-	s.closed = true
-	close(s.in)
 	s.mu.Unlock()
-	s.batcherWG.Wait() // batcher drains in, flushes, closes jobs
-	s.workerWG.Wait()  // workers drain jobs
+	s.workerWG.Wait() // workers drain in, then exit
 }
 
-// batcher is the adaptive batching scheduler: it fills a batch to
-// MaxBatch frames, or flushes a partial one when the oldest frame has
-// lingered Config.Linger — the software analogue of the paper's frame
-// buffer keeping all 8 lanes of the memory word busy.
-func (s *Server) batcher() {
-	defer s.batcherWG.Done()
-	defer close(s.jobs)
-	cur := s.jobPool.Get().(*job)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerArmed := false
-	flush := func() {
-		if timerArmed {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timerArmed = false
-		}
-		if cur.n == 0 {
-			return
-		}
-		s.metrics.queued.Add(-int64(cur.n))
-		s.metrics.pending.Add(int64(cur.n))
-		s.jobs <- cur
-		cur = s.jobPool.Get().(*job)
-		cur.n = 0
-	}
-	for {
-		select {
-		case req, ok := <-s.in:
-			if !ok {
-				// Shutdown: everything buffered in s.in has already
-				// been received (channel close delivers the buffer
-				// first), so one final flush drains the server.
-				flush()
-				s.jobPool.Put(cur)
-				return
-			}
-			cur.reqs[cur.n] = req
-			cur.n++
-			if cur.n == s.cfg.MaxBatch {
-				flush()
-			} else if cur.n == 1 {
-				timer.Reset(s.cfg.Linger)
-				timerArmed = true
-			}
-		case <-timer.C:
-			timerArmed = false
-			flush()
-		}
-	}
-}
-
-// worker owns one pre-built packed decoder and decodes dispatched
-// batches. The result and frame-slice arrays live on the worker, so the
-// decode path performs no allocation.
+// worker owns one pre-built packed decoder: it gathers a batch, claims
+// it, decodes it and delivers it, on arrays that live on the worker, so
+// the decode path performs no allocation. It exits once the queue is
+// closed and drained.
 //
 // A panic inside a batch (a decoder bug, or — in the radiation-test
 // frame of this codebase — an injected crash) is confined to that
@@ -587,21 +520,26 @@ func (s *Server) batcher() {
 func (s *Server) worker(id int, dec *batch.Parallel) {
 	defer s.workerWG.Done()
 	defer func() { dec.Close() }()
+	var reqs [batch.MaxFrames]*request
 	var res [batch.MaxFrames]ldpc.Result
 	var qs [batch.MaxFrames][]int16
-	for j := range s.jobs {
-		k := s.claim(j, &res, &qs)
+	linger := time.NewTimer(time.Hour)
+	linger.Stop()
+	for {
+		n := s.gather(&reqs, linger)
+		if n == 0 {
+			return
+		}
+		k := s.claim(reqs[:n], &res, &qs)
 		if k == 0 {
-			s.jobPool.Put(j)
 			continue
 		}
 		err := s.decode(id, dec, res[:k], qs[:k])
 		now := time.Now()
 		for i := 0; i < k; i++ {
-			s.deliver(j.reqs[i], res[i], err, now)
-			res[i], qs[i], j.reqs[i] = ldpc.Result{}, nil, nil
+			s.deliver(reqs[i], res[i], err, now)
+			res[i], qs[i], reqs[i] = ldpc.Result{}, nil, nil
 		}
-		s.jobPool.Put(j)
 		if errors.Is(err, ErrWorkerCrash) {
 			if d, err := s.newDec(); err == nil {
 				dec.Close() // shard goroutines survive a coordinator panic; release them
@@ -615,44 +553,93 @@ func (s *Server) worker(id int, dec *batch.Parallel) {
 	}
 }
 
-// claim takes ownership of a dispatched batch's frames, compacting the
-// ones to decode to the front of j.reqs, res and qs, and returns their
+// gather is the adaptive batching scheduler, run by the worker that is
+// about to decode — the software analogue of the paper's frame buffer
+// keeping all 8 lanes of the memory word busy. It blocks for a first
+// frame, then takes frames into reqs until the batch holds MaxBatch,
+// the queue closes, or the first frame has waited Config.Linger since
+// it was enqueued. Frames already queued join without waiting, so the
+// linger timer is armed only when the queue is empty: under load a
+// batch is sealed as soon as a worker is free, holding everything
+// queued by then. It returns the batch size, 0 once the queue is
+// closed and drained.
+//
+// Only the holder of gathering receives from the queue. Were every
+// idle worker waiting on the channel, each send would go to a
+// different one and a burst would split into part-filled batches.
+func (s *Server) gather(reqs *[batch.MaxFrames]*request, linger *time.Timer) int {
+	s.gathering.Lock()
+	defer s.gathering.Unlock()
+	defer linger.Stop()
+	n := 0
+	for n < s.cfg.MaxBatch {
+		var req *request
+		var ok bool
+		select {
+		case req, ok = <-s.in:
+		default:
+			if n == 0 {
+				req, ok = <-s.in
+				break
+			}
+			wait := s.cfg.Linger - time.Since(reqs[0].enq)
+			if wait <= 0 {
+				return n
+			}
+			linger.Reset(wait)
+			select {
+			case req, ok = <-s.in:
+			case <-linger.C:
+				return n
+			}
+		}
+		if !ok {
+			return n // closed: the buffer is drained, seal what is held
+		}
+		s.metrics.queued.Add(-1)
+		s.metrics.inFlight.Add(1)
+		reqs[n] = req
+		n++
+	}
+	return n
+}
+
+// claim takes ownership of a gathered batch's frames, compacting the
+// ones to decode to the front of reqs, res and qs, and returns their
 // number. A lane whose DecodeQ caller already abandoned it on deadline
 // is dropped and its waiter recycled, so the worker never writes into
 // memory a released caller may be reusing; a frame that waited longer
 // than Config.Deadline is answered ErrDeadline undecoded.
-func (s *Server) claim(j *job, res *[batch.MaxFrames]ldpc.Result, qs *[batch.MaxFrames][]int16) int {
-	n := j.n
-	j.n = 0
+func (s *Server) claim(reqs []*request, res *[batch.MaxFrames]ldpc.Result, qs *[batch.MaxFrames][]int16) int {
 	var now time.Time
 	if s.cfg.Deadline > 0 {
 		now = time.Now()
 	}
 	k := 0
-	for i := 0; i < n; i++ {
-		req := j.reqs[i]
-		j.reqs[i] = nil
+	for i, req := range reqs {
+		reqs[i] = nil
 		if w, ok := req.c.(*waiter); ok && !w.claimed.CompareAndSwap(false, true) {
 			// The caller timed out while the frame was queued and has
 			// counted it; skip the lane and recycle.
+			s.metrics.inFlight.Add(-1)
 			s.recycle(req)
 			s.waiterPool.Put(w)
 			continue
 		}
 		if s.cfg.Deadline > 0 && now.Sub(req.enq) > s.cfg.Deadline {
 			s.metrics.framesDeadline.Add(1)
+			s.metrics.inFlight.Add(-1)
 			s.health.record(false)
 			c := req.c
 			s.recycle(req)
 			c.Complete(ldpc.Result{}, ErrDeadline)
 			continue
 		}
-		j.reqs[k] = req
+		reqs[k] = req
 		qs[k] = req.q
 		res[k] = ldpc.Result{Bits: req.bits}
 		k++
 	}
-	s.metrics.pending.Add(-int64(n))
 	return k
 }
 
@@ -700,6 +687,7 @@ func (s *Server) decode(id int, dec *batch.Parallel, res []ldpc.Result, qs [][]i
 func (s *Server) deliver(req *request, res ldpc.Result, err error, now time.Time) {
 	ok := err == nil && res.Converged
 	s.metrics.latency.Record(now.Sub(req.enq).Microseconds())
+	s.metrics.inFlight.Add(-1)
 	s.health.record(ok)
 	s.breaker.recordEval(ok)
 	c := req.c

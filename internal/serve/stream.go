@@ -13,7 +13,7 @@ import (
 // frames together and blocks until all of them are decoded, returning
 // results and errors positionally. A ground-station front end emits
 // aligned frames in bursts at line rate; submitting the burst as one
-// group fills the scheduler's lanes immediately instead of paying the
+// group fills a batch's lanes immediately instead of paying the
 // linger deadline per frame, and — unlike DecodeQ — a full queue is
 // backpressure, not load shedding: a frame refused with ErrOverloaded
 // is resubmitted after the configured linger as the backoff, because a

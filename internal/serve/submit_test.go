@@ -281,3 +281,40 @@ func TestSubmitWorkerCrash(t *testing.T) {
 		t.Errorf("crashed %d decoded %d, want %d/1", snap.FramesCrashed, snap.FramesDecoded, n)
 	}
 }
+
+// TestInFlightCountsParkedBatch: a frame counts in InFlight from the
+// moment a worker gathers it, so a batch parked before its decode is
+// neither lost from the gauges nor double-counted, and the ledger
+// balances while it waits.
+func TestInFlightCountsParkedBatch(t *testing.T) {
+	c := smallCode(t)
+	p := fixed.DefaultHighSpeedParams()
+	g := newGate()
+	const n = 4
+	s := newTestServer(t, Config{Code: c, Params: p, Workers: 1, MaxBatch: n, Linger: time.Second, panicHook: g.hook})
+	outs := make([]*outcome, n)
+	for i := range outs {
+		outs[i] = newOutcome()
+		s.Submit(noisyQ(t, c, p.Format, 3.0, uint64(700+i)), nil, outs[i])
+	}
+	<-g.entered
+	snap := s.Metrics().Snapshot()
+	if snap.InFlight != n || snap.QueueDepth != 0 {
+		t.Errorf("batch parked in its worker: in_flight %d, queue_depth %d, want %d and 0", snap.InFlight, snap.QueueDepth, n)
+	}
+	if got := snap.FramesDecoded + snap.FramesDeadline + snap.FramesCrashed + snap.QueueDepth + snap.InFlight; got != snap.FramesIn {
+		t.Errorf("in %d != decoded %d + deadline %d + crashed %d + queued %d + in flight %d",
+			snap.FramesIn, snap.FramesDecoded, snap.FramesDeadline, snap.FramesCrashed, snap.QueueDepth, snap.InFlight)
+	}
+	g.pass()
+	for i, o := range outs {
+		o.wait(t)
+		if o.err != nil {
+			t.Fatalf("frame %d: %v", i, o.err)
+		}
+	}
+	s.Close()
+	if snap := ledger(t, s, outs, 0); snap.InFlight != 0 || snap.QueueDepth != 0 {
+		t.Errorf("after Close: in_flight %d, queue_depth %d, want 0", snap.InFlight, snap.QueueDepth)
+	}
+}
