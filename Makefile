@@ -13,12 +13,17 @@ check:
 # keep a whole group in flight in that server,
 # and the fleet routing tier whose hedges, requeues and health-driven
 # weight changes race against backend death. The race detector does not
-# instrument assembly, so the packed decoder runs once more under the
-# purego tag, where lane widths 4 and 8 take the generic Go kernels and
-# their reads and writes across shards stay checked.
+# instrument assembly, and on an AVX2 CPU every lane width decodes
+# through it, so the same packages run once more under the purego tag,
+# where every lane width takes the generic Go kernels and their reads
+# and writes, across shards and across the workers of serve, the
+# registry pools, the station, the fleet and fault.CrossCheck's
+# sharded decoders, stay checked.
+RACE_PKGS = ./internal/sim/... ./internal/batch/... ./internal/serve/... ./internal/registry/... ./internal/protect/... ./internal/fault/... ./internal/station/... ./internal/fleet/...
+
 race:
-	go test -race ./internal/sim/... ./internal/batch/... ./internal/serve/... ./internal/registry/... ./internal/protect/... ./internal/fault/... ./internal/station/... ./internal/fleet/...
-	go test -race -tags purego ./internal/batch/...
+	go test -race $(RACE_PKGS)
+	go test -race -tags purego $(RACE_PKGS)
 
 build:
 	go build ./...

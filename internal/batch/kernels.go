@@ -121,30 +121,40 @@ func bindKernels[S strip]() stripKernels {
 
 // kernelsFor returns the kernel set for a validated lane width.
 //
-// Widths 4 and 8 bind the 4-word strip: one YMM register. On a CPU
-// with AVX2 (amd64, detected once at package init; the purego build
-// tag opts out) that is the assembly of kernels_amd64.s, elsewhere the
-// generic [4]uint64 instantiation, which stays the oracle both are
-// diffed against (kernels_test.go). The platform makes the choice;
-// nothing configures it.
+// On a CPU with AVX2 (amd64, detected once at package init; the purego
+// build tag opts out) every width runs the assembly of
+// kernels_amd64.s: widths 1 and 2 the one-word strip, the paper's
+// 8-frame word in one XMM register, and widths 4 and 8 the 4-word
+// strip in one YMM register. Elsewhere widths 1 and 2 run the generic
+// [1]uint64 and [2]uint64 instantiations and widths 4 and 8 the
+// [4]uint64 one; those stay the oracle the assembly is diffed against
+// (kernels_test.go). The platform makes the choice; nothing
+// configures it.
 //
-// Width 8 deliberately binds a 4-word strip: the kernels only see tw
-// and nsw, and an nsw rounded to 8 words is also a whole number of
-// 4-word strips, so the result is identical to the [8]uint64
-// instantiation's (TestEightWordBindingAliasesFour). The [8]uint64
+// Width 8 always binds a 4-word strip, and width 2 the one-word strip
+// where the assembly runs: the kernels only see tw and nsw, and an nsw
+// rounded to 8 (or 2) words is also a whole number of 4-word (or
+// one-word) strips, so the result is identical to the [8]uint64 (or
+// [2]uint64) instantiation's (TestEightWordBindingAliasesFour). The [8]uint64
 // body keeps ~5 eight-word accumulators live and can spill on machines
 // without 32 wide registers, and AVX2 holds 4 words per register. The
-// 8-word layout (512-frame capacity) is kept either way.
+// 2- and 8-word layouts (their frame capacities) are kept either way.
 func kernelsFor(w int) stripKernels {
+	if k, ok := simdKernels(w); ok {
+		return k
+	}
+	return genericFor(w)
+}
+
+// genericFor returns the generic Go kernel set for a validated lane
+// width.
+func genericFor(w int) stripKernels {
 	switch w {
 	case 1:
 		return bindKernels[[1]uint64]()
 	case 2:
 		return bindKernels[[2]uint64]()
 	case 4, 8:
-		if k, ok := simdKernels(); ok {
-			return k
-		}
 		return bindKernels[[4]uint64]()
 	}
 	// Construction validates via ValidLaneWidth; unreachable after that.

@@ -9,40 +9,73 @@ var hasAVX2 = cpuHasAVX2()
 // cpuHasAVX2 reads CPUID leaves 1 and 7 and XCR0 (kernels_amd64.s).
 func cpuHasAVX2() bool
 
-//go:noescape
-func cnStripsAVX2(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+// The AVX2 kernel bodies of kernels_amd64.s: the *YMM functions hold
+// one 4-word strip per YMM register, the *XMM functions one one-word
+// strip per XMM register. Both widths take the same arguments.
 
 //go:noescape
-func bnStripsAVX2(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+func cnYMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
 
 //go:noescape
-func unsatStripsAVX2(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+func bnYMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
 
-// simdKernels returns the AVX2 bodies of the [4]uint64 strip kernels,
-// and false on a CPU without AVX2. They compute the generic kernels'
-// words exactly; kernelsFor binds them for LaneWidth 4 and 8, where
-// nsw is a whole number of 4-word strips.
-func simdKernels() (stripKernels, bool) {
+//go:noescape
+func unsatYMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+
+//go:noescape
+func cnXMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+
+//go:noescape
+func bnXMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+
+//go:noescape
+func unsatXMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+
+// avx2Set is the assembly of one strip width: words packed words per
+// strip, one vector register each, and the three kernel bodies.
+type avx2Set struct {
+	words     int
+	cnBody    func(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+	bnBody    func(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+	unsatBody func(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+}
+
+var (
+	ymmSet = &avx2Set{4, cnYMM, bnYMM, unsatYMM}
+	xmmSet = &avx2Set{1, cnXMM, bnXMM, unsatXMM}
+)
+
+// simdKernels returns the AVX2 kernels for a validated lane width w,
+// and false on a CPU without AVX2. They compute the generic kernels' words exactly.
+// Widths 4 and 8 bind the 4-word strip and widths 1 and 2 the one-word
+// strip: nsw is a whole number of strips either way.
+func simdKernels(w int) (stripKernels, bool) {
 	if !hasAVX2 {
 		return stripKernels{}, false
 	}
-	return stripKernels{init: initBlockedEdges, cn: cnAVX2, bn: bnAVX2, unsat: unsatAVX2}, true
+	set := ymmSet
+	if w <= 2 {
+		set = xmmSet
+	}
+	return stripKernels{init: initBlockedEdges, cn: set.cnAVX2, bn: set.bnAVX2, unsat: set.unsatAVX2}, true
 }
 
-// asmEdgeWords bounds the work of one assembly call, in edge words:
-// the edges of the nodes it covers times nsw. The runtime cannot
-// preempt a goroutine inside assembly, so one call over a shard's
-// whole node range would hold off a stop-the-world pause, and the
-// other goroutines of its P, for milliseconds at the 512-frame
-// geometry. At up to about 1.6 ns per CN edge-word (EXPERIMENTS.md
-// § E-simd) a block takes at most about 50 µs.
-const asmEdgeWords = 1 << 15
+// asmSteps bounds the work of one assembly call, in strip-edge steps:
+// the edges of the nodes it covers times the strips per edge,
+// nsw/words. The runtime cannot preempt a goroutine inside assembly,
+// so one call over a shard's whole node range would hold off a
+// stop-the-world pause, and the other goroutines of its P, for
+// milliseconds at the 512-frame geometry. A CN step costs up to about
+// 6.2 ns in a YMM register (1.56 ns per edge-word, EXPERIMENTS.md
+// § E-simd) and 4.3 ns in an XMM register (§ E-word), so a block
+// takes at most about 50 µs at either width.
+const asmSteps = 1 << 13
 
 // blockEnd returns the end of the node block that starts at lo: the
 // nodes of [lo, hi) whose edges, [offs[k], offs[k+1]) for node k, fit
-// in asmEdgeWords at nsw words per edge, and always at least one.
-func blockEnd(offs []int32, lo, hi, nsw int) int {
-	limit := offs[lo] + int32(asmEdgeWords/nsw)
+// in asmSteps at strips steps per edge, and always at least one.
+func blockEnd(offs []int32, lo, hi, strips int) int {
+	limit := offs[lo] + int32(asmSteps/strips)
 	end := lo + 1
 	for end < hi && offs[end+1] <= limit {
 		end++
@@ -50,20 +83,20 @@ func blockEnd(offs []int32, lo, hi, nsw int) int {
 	return end
 }
 
-func cnAVX2(st *stripState, ilo, ihi int) {
+func (a *avx2Set) cnAVX2(st *stripState, ilo, ihi int) {
 	for i := ilo; i < ihi; {
-		end := blockEnd(st.g.CNOff, i, ihi, st.nsw)
-		cnStripsAVX2(st.vcw, st.cvw, st.done, st.cnOff, st.g.CNOff[i:end+1], st.nsw,
+		end := blockEnd(st.g.CNOff, i, ihi, st.nsw/a.words)
+		a.cnBody(st.vcw, st.cvw, st.done, st.cnOff, st.g.CNOff[i:end+1], st.nsw,
 			st.num, uint64(st.shift), st.shiftMask)
 		i = end
 	}
 }
 
-func bnAVX2(st *stripState, jlo, jhi int) {
+func (a *avx2Set) bnAVX2(st *stripState, jlo, jhi int) {
 	for j := jlo; j < jhi; {
-		end := blockEnd(st.g.VNOff, j, jhi, st.nsw)
+		end := blockEnd(st.g.VNOff, j, jhi, st.nsw/a.words)
 		jt := j * st.tw
-		bnStripsAVX2(st.qw[jt:], st.postw[jt:], st.vcw, st.cvw, st.done, st.bnOff, st.g.VNOff[j:end+1],
+		a.bnBody(st.qw[jt:], st.postw[jt:], st.vcw, st.cvw, st.done, st.bnOff, st.g.VNOff[j:end+1],
 			st.tw, st.nsw, st.maxVec)
 		j = end
 	}
@@ -72,11 +105,11 @@ func bnAVX2(st *stripState, jlo, jhi int) {
 // unsatAVX2 ORs each check block's syndrome into out, which starts at
 // zero; the assembly skips a strip whose lanes are all already known
 // unsatisfied or frozen, so the early exit carries across blocks.
-func unsatAVX2(st *stripState, ilo, ihi int, out []uint64) {
+func (a *avx2Set) unsatAVX2(st *stripState, ilo, ihi int, out []uint64) {
 	clear(out[:st.nsw])
 	for i := ilo; i < ihi; {
-		end := blockEnd(st.g.CNOff, i, ihi, st.nsw)
-		unsatStripsAVX2(st.postw, st.done, st.vnOff, st.g.CNOff[i:end+1], st.nsw, out)
+		end := blockEnd(st.g.CNOff, i, ihi, st.nsw/a.words)
+		a.unsatBody(st.postw, st.done, st.vnOff, st.g.CNOff[i:end+1], st.nsw, out)
 		i = end
 	}
 }

@@ -2,17 +2,38 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the [4]uint64 strip kernels (kernels.go): one strip of
-// four packed words, 32 int8 lanes, is one YMM register, and each SWAR
-// lane helper becomes one or a few byte-lane instructions. The loops
-// walk the same offset tables in the same canonical edge order as the
-// Go kernels, so every lane value, min tie-break and saturation is the
+// AVX2 bodies of the strip kernels (kernels.go) at two strip widths:
+// the 4-word strip, 32 int8 lanes, in one YMM register (the *YMM
+// functions, bound at LaneWidth 4 and 8), and the one-word strip, the
+// paper's 8-frame memory word, in the low quadword of one XMM register
+// (the *XMM functions, bound at LaneWidth 1 and 2). Each SWAR lane
+// helper becomes one or a few byte-lane instructions. The loops walk
+// the same offset tables in the same canonical edge order as the Go
+// kernels, so every lane value, min tie-break and saturation is the
 // generic kernels' (kernels_test.go diffs them word for word).
 //
 // Strips are indexed by word: BX is the strip's first word sb, and
 // edge e's words of the strip are at base + (off[e] + sb)·8. The
-// callers pass nsw as a positive multiple of 4, and every offset plus
-// nsw stays inside the message, posterior and done slices.
+// callers pass nsw as a positive multiple of the strip width, and
+// every offset plus nsw stays inside the message, posterior and done
+// slices.
+//
+// Each kernel's body is one macro, written once and instantiated at
+// both widths under these names:
+//
+//	V0–V15       the vector registers, Y0–Y15 or X0–X15
+//	VMOV         load or store one strip: VMOVDQU, or VMOVQ
+//	FILL(x, v)   spread the quadword in x over the strip v
+//	STEP         the strip width in words, 4 or 1
+//
+// The one-word bodies never address memory with a vector operand: a
+// 128-bit operand would read the next edge's word, and past the end of
+// a slice at its last word. VMOVQ loads zero the upper quadword, and
+// FILL leaves it zero in the constants, so VPTEST's carry flag reports
+// on the one word alone.
+//
+// A macro body cannot hold // comments (they would swallow the line
+// continuation), so its notes are /* */ comments.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -44,11 +65,276 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func cnStripsAVX2(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+// CN_STRIPS runs check nodes rows[0:len-1]: check i's edges are
+// [rows[i], rows[i+1]), their message words found through cnOff.
+// Entry: SI vcw, DI cvw, R10 done, R13 cnOff, R11 rows, R12 len(rows),
+// R9 nsw, X12 Num, X11 the shift count, X10 0xFF>>Shift per lane.
 //
-// Check nodes rows[0:len-1]: check i's edges are [rows[i], rows[i+1]),
-// their message words found through cnOff.
-TEXT ·cnStripsAVX2(SB), NOSPLIT, $0-152
+// Pass 1 keeps the sign parity in bit 7 of V0, min1 in V2, min2 in V3
+// and min1's edge index in V1; V4 counts edges. The scale runs in
+// 16-bit words: every byte product min·Num is ≤ 255, so none carries
+// into its neighbour, and the mask clears the bits the shift brings
+// down from the high byte. Pass 2 emits min1 or, at min1's own edge,
+// min2, signed by the extrinsic parity; OR-ing in 1 keeps VPSIGNB's
+// sign source nonzero, so it negates or keeps and never zeroes. A
+// strip with a frozen lane blends its old messages back in.
+#define CN_STRIPS \
+	DECQ R12                             /* check count */; \
+	JLE  cnRet; \
+	TESTQ R9, R9; \
+	JLE  cnRet; \
+	MOVQ $-1, AX; \
+	MOVQ AX, X15; \
+	FILL(X15, V15)                       /* all-ones */; \
+	MOVQ $0x0101010101010101, AX; \
+	MOVQ AX, X14; \
+	FILL(X14, V14)                       /* +1 per lane */; \
+	MOVQ $0x7f7f7f7f7f7f7f7f, AX; \
+	MOVQ AX, X13; \
+	FILL(X13, V13)                       /* +127: above any magnitude */; \
+	VPBROADCASTW X12, V12                /* Num per 16-bit word */; \
+	FILL(X10, V10); \
+cnCheck: \
+	MOVLQSX (R11), AX; \
+	MOVLQSX 4(R11), DX; \
+	LEAQ (R13)(AX*4), R8                 /* first cnOff entry of the check */; \
+	LEAQ (R13)(DX*4), DX                 /* end of the check's entries */; \
+	CMPQ R8, DX; \
+	JEQ  cnNext; \
+	XORQ BX, BX; \
+cnStrip: \
+	VMOV    (R10)(BX*8), V9              /* done mask of the strip */; \
+	VPTEST  V15, V9                      /* CF: every lane frozen */; \
+	JCS     cnSkip; \
+	VPXOR   V0, V0, V0; \
+	VPXOR   V1, V1, V1; \
+	VMOVDQU V13, V2; \
+	VMOVDQU V13, V3; \
+	VPXOR   V4, V4, V4; \
+	MOVQ    R8, CX; \
+cnPass1: \
+	MOVLQSX   (CX), AX; \
+	ADDQ      BX, AX; \
+	VMOV      (SI)(AX*8), V5; \
+	VPXOR     V5, V0, V0; \
+	VPABSB    V5, V6                     /* m = |x| */; \
+	VPCMPGTB  V6, V2, V7                 /* lt = m < min1 */; \
+	VPMAXSB   V6, V2, V8                 /* the round's loser competes for min2 */; \
+	VPMINSB   V6, V2, V2; \
+	VPBLENDVB V7, V4, V1, V1             /* minIdx = lt ? idx : minIdx */; \
+	VPMINSB   V8, V3, V3; \
+	VPADDB    V14, V4, V4; \
+	ADDQ      $4, CX; \
+	CMPQ      CX, DX; \
+	JNE       cnPass1; \
+	VPMULLW V12, V2, V2; \
+	VPSRLW  X11, V2, V2; \
+	VPAND   V10, V2, V2; \
+	VPMULLW V12, V3, V3; \
+	VPSRLW  X11, V3, V3; \
+	VPAND   V10, V3, V3; \
+	VPXOR  V4, V4, V4; \
+	MOVQ   R8, CX; \
+	VPTEST V9, V9                        /* ZF: no frozen lane in the strip */; \
+	JNE    cnPass2Frozen; \
+cnPass2: \
+	MOVLQSX   (CX), AX; \
+	ADDQ      BX, AX; \
+	VPCMPEQB  V4, V1, V6; \
+	VPBLENDVB V6, V3, V2, V7; \
+	VMOV      (SI)(AX*8), V5; \
+	VPXOR     V5, V0, V5; \
+	VPOR      V14, V5, V5; \
+	VPSIGNB   V5, V7, V7; \
+	VMOV      V7, (DI)(AX*8); \
+	VPADDB    V14, V4, V4; \
+	ADDQ      $4, CX; \
+	CMPQ      CX, DX; \
+	JNE       cnPass2; \
+	JMP       cnSkip; \
+cnPass2Frozen: \
+	MOVLQSX   (CX), AX; \
+	ADDQ      BX, AX; \
+	VPCMPEQB  V4, V1, V6; \
+	VPBLENDVB V6, V3, V2, V7; \
+	VMOV      (SI)(AX*8), V5; \
+	VPXOR     V5, V0, V5; \
+	VPOR      V14, V5, V5; \
+	VPSIGNB   V5, V7, V7; \
+	VMOV      (DI)(AX*8), V8; \
+	VPBLENDVB V9, V8, V7, V7             /* frozen lanes keep their message */; \
+	VMOV      V7, (DI)(AX*8); \
+	VPADDB    V14, V4, V4; \
+	ADDQ      $4, CX; \
+	CMPQ      CX, DX; \
+	JNE       cnPass2Frozen; \
+cnSkip: \
+	ADDQ $STEP, BX; \
+	CMPQ BX, R9; \
+	JLT  cnStrip; \
+cnNext: \
+	ADDQ $4, R11; \
+	DECQ R12; \
+	JNZ  cnCheck; \
+cnRet: \
+	VZEROUPPER; \
+	RET
+
+// BN_STRIPS runs bit nodes cols[0:len-1]: node j's incoming edges are
+// bnOff[cols[j]:cols[j+1]]; qw and postw start at the first node's
+// words, tw words per node. Entry: R8 qw, R9 postw, SI vcw, DI cvw,
+// R10 done, R13 bnOff, R11 cols, AX len(cols), CX tw, R14 nsw, X14
+// Max per lane; the frame holds the locals nodes and tw.
+//
+// The posterior is the channel word plus every incoming message; each
+// outgoing message is the posterior minus the edge's own input,
+// clamped to [−Max, +Max].
+#define BN_STRIPS \
+	MOVQ CX, tw-16(SP); \
+	DECQ AX                              /* node count */; \
+	JLE  bnRet; \
+	MOVQ AX, nodes-8(SP); \
+	TESTQ R14, R14; \
+	JLE  bnRet; \
+	MOVQ   $-1, AX; \
+	MOVQ   AX, X15; \
+	FILL(X15, V15)                       /* all-ones */; \
+	FILL(X14, V14)                       /* +Max per lane */; \
+	VPXOR  V13, V13, V13; \
+	VPSUBB V14, V13, V13                 /* −Max per lane */; \
+bnNode: \
+	MOVLQSX (R11), AX; \
+	MOVLQSX 4(R11), DX; \
+	LEAQ    (R13)(AX*4), R12             /* first bnOff entry of the node */; \
+	LEAQ    (R13)(DX*4), DX              /* end of the node's entries */; \
+	XORQ    BX, BX; \
+bnStrip: \
+	VMOV   (R10)(BX*8), V9; \
+	VPTEST V15, V9                       /* CF: every lane frozen */; \
+	JCS    bnSkip; \
+	VMOV   (R8)(BX*8), V0; \
+	MOVQ   R12, CX; \
+	CMPQ   CX, DX; \
+	JEQ    bnPost; \
+bnSum: \
+	MOVLQSX (CX), AX; \
+	ADDQ    BX, AX; \
+	VMOV    (DI)(AX*8), V2; \
+	VPADDB  V2, V0, V0; \
+	ADDQ    $4, CX; \
+	CMPQ    CX, DX; \
+	JNE     bnSum; \
+bnPost: \
+	VMOV V0, (R9)(BX*8); \
+	MOVQ R12, CX; \
+	CMPQ CX, DX; \
+	JEQ  bnSkip; \
+bnOut: \
+	MOVLQSX (CX), AX; \
+	ADDQ    BX, AX; \
+	VMOV    (DI)(AX*8), V2; \
+	VPSUBB  V2, V0, V1; \
+	VPMINSB V14, V1, V1; \
+	VPMAXSB V13, V1, V1; \
+	VMOV    V1, (SI)(AX*8); \
+	ADDQ    $4, CX; \
+	CMPQ    CX, DX; \
+	JNE     bnOut; \
+bnSkip: \
+	ADDQ $STEP, BX; \
+	CMPQ BX, R14; \
+	JLT  bnStrip; \
+	ADDQ $4, R11; \
+	MOVQ tw-16(SP), AX; \
+	LEAQ (R8)(AX*8), R8; \
+	LEAQ (R9)(AX*8), R9; \
+	DECQ nodes-8(SP); \
+	JNZ  bnNode; \
+bnRet: \
+	VZEROUPPER; \
+	RET
+
+// UNSAT_STRIPS ORs the syndrome MSBs of check nodes rows[0:len-1] per
+// word into out[0:nsw], which holds those of the checks before them
+// (zero before the first). A strip whose lanes are all known
+// unsatisfied or frozen is left as it is; otherwise it stops at the
+// first check after which they are. Entry: SI postw, R10 done, R13
+// vnOff, R11 rows, R12 len(rows), R9 nsw, DI out.
+#define UNSAT_STRIPS \
+	TESTQ R9, R9; \
+	JLE  unsatRet; \
+	DECQ R12                             /* check count */; \
+	JLE  unsatRet; \
+	LEAQ (R11)(R12*4), R12               /* end of the check rows */; \
+	MOVQ $0x8080808080808080, AX; \
+	MOVQ AX, X14; \
+	FILL(X14, V14)                       /* bit 7 of every lane */; \
+	XORQ BX, BX; \
+unsatStrip: \
+	VMOV    (DI)(BX*8), V0               /* syndrome accumulator */; \
+	VMOV    (R10)(BX*8), V9; \
+	VPOR    V9, V0, V2; \
+	VPTEST  V14, V2                      /* CF: every lane unsatisfied or frozen */; \
+	JCS     unsatNext; \
+	MOVQ    R11, R8; \
+unsatCheck: \
+	MOVLQSX (R8), AX; \
+	MOVLQSX 4(R8), DX; \
+	LEAQ    (R13)(AX*4), CX; \
+	LEAQ    (R13)(DX*4), DX; \
+	VPXOR   V1, V1, V1                   /* parity of the check's posterior signs */; \
+	CMPQ    CX, DX; \
+	JEQ     unsatAcc; \
+unsatEdge: \
+	MOVLQSX (CX), AX; \
+	ADDQ    BX, AX; \
+	VMOV    (SI)(AX*8), V3; \
+	VPXOR   V3, V1, V1; \
+	ADDQ    $4, CX; \
+	CMPQ    CX, DX; \
+	JNE     unsatEdge; \
+unsatAcc: \
+	VPOR   V1, V0, V0; \
+	VPOR   V9, V0, V2; \
+	VPTEST V14, V2                       /* CF: every lane unsatisfied or frozen */; \
+	JCS    unsatStore; \
+	ADDQ   $4, R8; \
+	CMPQ   R8, R12; \
+	JNE    unsatCheck; \
+unsatStore: \
+	VPAND V14, V0, V0; \
+	VMOV  V0, (DI)(BX*8); \
+unsatNext: \
+	ADDQ $STEP, BX; \
+	CMPQ BX, R9; \
+	JLT  unsatStrip; \
+unsatRet: \
+	VZEROUPPER; \
+	RET
+
+// The 4-word strip: one YMM register.
+
+#define V0 Y0
+#define V1 Y1
+#define V2 Y2
+#define V3 Y3
+#define V4 Y4
+#define V5 Y5
+#define V6 Y6
+#define V7 Y7
+#define V8 Y8
+#define V9 Y9
+#define V10 Y10
+#define V12 Y12
+#define V13 Y13
+#define V14 Y14
+#define V15 Y15
+#define VMOV VMOVDQU
+#define FILL(x, v) VPBROADCASTQ x, v
+#define STEP 4
+
+// func cnYMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+TEXT ·cnYMM(SB), NOSPLIT, $0-152
 	MOVQ vcw_base+0(FP), SI
 	MOVQ cvw_base+24(FP), DI
 	MOVQ done_base+48(FP), R10
@@ -56,131 +342,13 @@ TEXT ·cnStripsAVX2(SB), NOSPLIT, $0-152
 	MOVQ rows_base+96(FP), R11
 	MOVQ rows_len+104(FP), R12
 	MOVQ nsw+120(FP), R9
-	DECQ R12                     // check count
-	JLE  cnRet
-	TESTQ R9, R9
-	JLE  cnRet
-
-	VPCMPEQB Y15, Y15, Y15       // all-ones
-	MOVQ $0x0101010101010101, AX
-	MOVQ AX, X14
-	VPBROADCASTQ X14, Y14        // +1 per lane
-	MOVQ $0x7f7f7f7f7f7f7f7f, AX
-	MOVQ AX, X13
-	VPBROADCASTQ X13, Y13        // +127 per lane: above any magnitude
 	MOVQ num+128(FP), X12
-	VPBROADCASTW X12, Y12        // Num per 16-bit word
-	MOVQ shift+136(FP), X11      // shift count
+	MOVQ shift+136(FP), X11
 	MOVQ shiftMask+144(FP), X10
-	VPBROADCASTQ X10, Y10        // 0xFF>>Shift per lane
+	CN_STRIPS
 
-cnCheck:
-	MOVLQSX (R11), AX
-	MOVLQSX 4(R11), DX
-	LEAQ (R13)(AX*4), R8         // first cnOff entry of the check
-	LEAQ (R13)(DX*4), DX         // end of the check's entries
-	CMPQ R8, DX
-	JEQ  cnNext
-	XORQ BX, BX
-
-cnStrip:
-	VMOVDQU (R10)(BX*8), Y9      // done mask of the strip
-	VPTEST  Y15, Y9              // CF: every lane frozen
-	JCS     cnSkip
-
-	// Pass 1: sign parity (bit 7 of Y0), min1 (Y2), min2 (Y3) and
-	// min1's edge index (Y1); Y4 counts edges.
-	VPXOR   Y0, Y0, Y0
-	VPXOR   Y1, Y1, Y1
-	VMOVDQU Y13, Y2
-	VMOVDQU Y13, Y3
-	VPXOR   Y4, Y4, Y4
-	MOVQ    R8, CX
-
-cnPass1:
-	MOVLQSX   (CX), AX
-	ADDQ      BX, AX
-	VMOVDQU   (SI)(AX*8), Y5
-	VPXOR     Y5, Y0, Y0
-	VPABSB    Y5, Y6             // m = |x|
-	VPCMPGTB  Y6, Y2, Y7         // lt = m < min1
-	VPMAXSB   Y6, Y2, Y8         // the round's loser competes for min2
-	VPMINSB   Y6, Y2, Y2
-	VPBLENDVB Y7, Y4, Y1, Y1     // minIdx = lt ? idx : minIdx
-	VPMINSB   Y8, Y3, Y3
-	VPADDB    Y14, Y4, Y4
-	ADDQ      $4, CX
-	CMPQ      CX, DX
-	JNE       cnPass1
-
-	// min·Num≫Shift & (0xFF≫Shift) in 16-bit words: every byte
-	// product is ≤ 255, so none carries into its neighbour, and the
-	// mask clears the bits the shift brings down from the high byte.
-	VPMULLW Y12, Y2, Y2
-	VPSRLW  X11, Y2, Y2
-	VPAND   Y10, Y2, Y2
-	VPMULLW Y12, Y3, Y3
-	VPSRLW  X11, Y3, Y3
-	VPAND   Y10, Y3, Y3
-
-	// Pass 2: min1 or, at min1's own edge, min2, signed by the
-	// extrinsic parity; OR-ing in 1 keeps VPSIGNB's sign source
-	// nonzero, so it negates or keeps and never zeroes.
-	VPXOR  Y4, Y4, Y4
-	MOVQ   R8, CX
-	VPTEST Y9, Y9                // ZF: no frozen lane in the strip
-	JNE    cnPass2Frozen
-
-cnPass2:
-	MOVLQSX   (CX), AX
-	ADDQ      BX, AX
-	VPCMPEQB  Y4, Y1, Y6
-	VPBLENDVB Y6, Y3, Y2, Y7
-	VPXOR     (SI)(AX*8), Y0, Y5
-	VPOR      Y14, Y5, Y5
-	VPSIGNB   Y5, Y7, Y7
-	VMOVDQU   Y7, (DI)(AX*8)
-	VPADDB    Y14, Y4, Y4
-	ADDQ      $4, CX
-	CMPQ      CX, DX
-	JNE       cnPass2
-	JMP       cnSkip
-
-cnPass2Frozen:
-	MOVLQSX   (CX), AX
-	ADDQ      BX, AX
-	VPCMPEQB  Y4, Y1, Y6
-	VPBLENDVB Y6, Y3, Y2, Y7
-	VPXOR     (SI)(AX*8), Y0, Y5
-	VPOR      Y14, Y5, Y5
-	VPSIGNB   Y5, Y7, Y7
-	VPBLENDVB Y9, (DI)(AX*8), Y7, Y7 // frozen lanes keep their message
-	VMOVDQU   Y7, (DI)(AX*8)
-	VPADDB    Y14, Y4, Y4
-	ADDQ      $4, CX
-	CMPQ      CX, DX
-	JNE       cnPass2Frozen
-
-cnSkip:
-	ADDQ $4, BX
-	CMPQ BX, R9
-	JLT  cnStrip
-
-cnNext:
-	ADDQ $4, R11
-	DECQ R12
-	JNZ  cnCheck
-
-cnRet:
-	VZEROUPPER
-	RET
-
-// func bnStripsAVX2(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
-//
-// Bit nodes cols[0:len-1]: node j's incoming edges are bnOff[cols[j]:
-// cols[j+1]]; qw and postw start at the first node's words, tw words
-// per node.
-TEXT ·bnStripsAVX2(SB), NOSPLIT, $8-192
+// func bnYMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+TEXT ·bnYMM(SB), NOSPLIT, $16-192
 	MOVQ qw_base+0(FP), R8
 	MOVQ postw_base+24(FP), R9
 	MOVQ vcw_base+48(FP), SI
@@ -189,87 +357,13 @@ TEXT ·bnStripsAVX2(SB), NOSPLIT, $8-192
 	MOVQ bnOff_base+120(FP), R13
 	MOVQ cols_base+144(FP), R11
 	MOVQ cols_len+152(FP), AX
-	DECQ AX                      // node count
-	JLE  bnRet
-	MOVQ AX, nodes-8(SP)
-	CMPQ nsw+176(FP), $0
-	JLE  bnRet
+	MOVQ tw+168(FP), CX
+	MOVQ nsw+176(FP), R14
+	MOVQ maxVec+184(FP), X14
+	BN_STRIPS
 
-	VPCMPEQB     Y15, Y15, Y15   // all-ones
-	MOVQ         maxVec+184(FP), X14
-	VPBROADCASTQ X14, Y14        // +Max per lane
-	VPXOR        Y13, Y13, Y13
-	VPSUBB       Y14, Y13, Y13   // −Max per lane
-
-bnNode:
-	MOVLQSX (R11), AX
-	MOVLQSX 4(R11), DX
-	LEAQ    (R13)(AX*4), R12     // first bnOff entry of the node
-	LEAQ    (R13)(DX*4), DX      // end of the node's entries
-	XORQ    BX, BX
-
-bnStrip:
-	VMOVDQU (R10)(BX*8), Y9
-	VPTEST  Y15, Y9              // CF: every lane frozen
-	JCS     bnSkip
-
-	// Posterior: channel word plus every incoming message.
-	VMOVDQU (R8)(BX*8), Y0
-	MOVQ    R12, CX
-	CMPQ    CX, DX
-	JEQ     bnPost
-
-bnSum:
-	MOVLQSX (CX), AX
-	ADDQ    BX, AX
-	VPADDB  (DI)(AX*8), Y0, Y0
-	ADDQ    $4, CX
-	CMPQ    CX, DX
-	JNE     bnSum
-
-bnPost:
-	VMOVDQU Y0, (R9)(BX*8)
-	MOVQ    R12, CX
-	CMPQ    CX, DX
-	JEQ     bnSkip
-
-	// Each outgoing message: posterior minus the edge's own input,
-	// clamped to [−Max, +Max].
-bnOut:
-	MOVLQSX (CX), AX
-	ADDQ    BX, AX
-	VPSUBB  (DI)(AX*8), Y0, Y1
-	VPMINSB Y14, Y1, Y1
-	VPMAXSB Y13, Y1, Y1
-	VMOVDQU Y1, (SI)(AX*8)
-	ADDQ    $4, CX
-	CMPQ    CX, DX
-	JNE     bnOut
-
-bnSkip:
-	ADDQ $4, BX
-	CMPQ BX, nsw+176(FP)
-	JLT  bnStrip
-
-	ADDQ $4, R11
-	MOVQ tw+168(FP), AX
-	LEAQ (R8)(AX*8), R8
-	LEAQ (R9)(AX*8), R9
-	DECQ nodes-8(SP)
-	JNZ  bnNode
-
-bnRet:
-	VZEROUPPER
-	RET
-
-// func unsatStripsAVX2(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
-//
-// ORs the syndrome MSBs of check nodes rows[0:len-1] per word into
-// out[0:nsw], which holds those of the checks before them (zero before
-// the first). A strip whose lanes are all known unsatisfied or frozen
-// is left as it is; otherwise it stops at the first check after which
-// they are.
-TEXT ·unsatStripsAVX2(SB), NOSPLIT, $0-128
+// func unsatYMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+TEXT ·unsatYMM(SB), NOSPLIT, $0-128
 	MOVQ postw_base+0(FP), SI
 	MOVQ done_base+24(FP), R10
 	MOVQ vnOff_base+48(FP), R13
@@ -277,60 +371,85 @@ TEXT ·unsatStripsAVX2(SB), NOSPLIT, $0-128
 	MOVQ rows_len+80(FP), R12
 	MOVQ nsw+96(FP), R9
 	MOVQ out_base+104(FP), DI
-	TESTQ R9, R9
-	JLE  unsatRet
-	DECQ R12                     // check count
-	JLE  unsatRet
-	LEAQ (R11)(R12*4), R12       // end of the check rows
+	UNSAT_STRIPS
 
-	MOVQ         $0x8080808080808080, AX
-	MOVQ         AX, X14
-	VPBROADCASTQ X14, Y14        // bit 7 of every lane
-	XORQ         BX, BX
+#undef V0
+#undef V1
+#undef V2
+#undef V3
+#undef V4
+#undef V5
+#undef V6
+#undef V7
+#undef V8
+#undef V9
+#undef V10
+#undef V12
+#undef V13
+#undef V14
+#undef V15
+#undef VMOV
+#undef FILL
+#undef STEP
 
-unsatStrip:
-	VMOVDQU (DI)(BX*8), Y0       // syndrome accumulator
-	VMOVDQU (R10)(BX*8), Y9
-	VPOR    Y9, Y0, Y2
-	VPTEST  Y14, Y2              // CF: every lane unsatisfied or frozen
-	JCS     unsatNext
-	MOVQ    R11, R8
+// The one-word strip: the low quadword of one XMM register. MOVQ into
+// an X register already zeroes the upper quadword, so FILL is empty.
 
-unsatCheck:
-	MOVLQSX (R8), AX
-	MOVLQSX 4(R8), DX
-	LEAQ    (R13)(AX*4), CX
-	LEAQ    (R13)(DX*4), DX
-	VPXOR   Y1, Y1, Y1           // parity of the check's posterior signs
-	CMPQ    CX, DX
-	JEQ     unsatAcc
+#define V0 X0
+#define V1 X1
+#define V2 X2
+#define V3 X3
+#define V4 X4
+#define V5 X5
+#define V6 X6
+#define V7 X7
+#define V8 X8
+#define V9 X9
+#define V10 X10
+#define V12 X12
+#define V13 X13
+#define V14 X14
+#define V15 X15
+#define VMOV VMOVQ
+#define FILL(x, v)
+#define STEP 1
 
-unsatEdge:
-	MOVLQSX (CX), AX
-	ADDQ    BX, AX
-	VPXOR   (SI)(AX*8), Y1, Y1
-	ADDQ    $4, CX
-	CMPQ    CX, DX
-	JNE     unsatEdge
+// func cnXMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+TEXT ·cnXMM(SB), NOSPLIT, $0-152
+	MOVQ vcw_base+0(FP), SI
+	MOVQ cvw_base+24(FP), DI
+	MOVQ done_base+48(FP), R10
+	MOVQ cnOff_base+72(FP), R13
+	MOVQ rows_base+96(FP), R11
+	MOVQ rows_len+104(FP), R12
+	MOVQ nsw+120(FP), R9
+	MOVQ num+128(FP), X12
+	MOVQ shift+136(FP), X11
+	MOVQ shiftMask+144(FP), X10
+	CN_STRIPS
 
-unsatAcc:
-	VPOR   Y1, Y0, Y0
-	VPOR   Y9, Y0, Y2
-	VPTEST Y14, Y2               // CF: every lane unsatisfied or frozen
-	JCS    unsatStore
-	ADDQ   $4, R8
-	CMPQ   R8, R12
-	JNE    unsatCheck
+// func bnXMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+TEXT ·bnXMM(SB), NOSPLIT, $16-192
+	MOVQ qw_base+0(FP), R8
+	MOVQ postw_base+24(FP), R9
+	MOVQ vcw_base+48(FP), SI
+	MOVQ cvw_base+72(FP), DI
+	MOVQ done_base+96(FP), R10
+	MOVQ bnOff_base+120(FP), R13
+	MOVQ cols_base+144(FP), R11
+	MOVQ cols_len+152(FP), AX
+	MOVQ tw+168(FP), CX
+	MOVQ nsw+176(FP), R14
+	MOVQ maxVec+184(FP), X14
+	BN_STRIPS
 
-unsatStore:
-	VPAND   Y14, Y0, Y0
-	VMOVDQU Y0, (DI)(BX*8)
-
-unsatNext:
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     unsatStrip
-
-unsatRet:
-	VZEROUPPER
-	RET
+// func unsatXMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+TEXT ·unsatXMM(SB), NOSPLIT, $0-128
+	MOVQ postw_base+0(FP), SI
+	MOVQ done_base+24(FP), R10
+	MOVQ vnOff_base+48(FP), R13
+	MOVQ rows_base+72(FP), R11
+	MOVQ rows_len+80(FP), R12
+	MOVQ nsw+96(FP), R9
+	MOVQ out_base+104(FP), DI
+	UNSAT_STRIPS

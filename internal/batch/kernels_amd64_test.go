@@ -5,8 +5,10 @@ package batch
 import "testing"
 
 // TestAsmBlocksBounded checks the node blocks the AVX2 wrappers hand
-// the assembly: they tile a range exactly, in order, and each stays
-// within asmEdgeWords, unless it is one node that alone exceeds it.
+// the assembly, for both strip widths at every nsw their lane widths
+// reach: the blocks tile a range exactly, in order, and each stays
+// within asmSteps strip-edge steps, unless it is one node that alone
+// exceeds them.
 func TestAsmBlocksBounded(t *testing.T) {
 	for _, kg := range kernelGraphs(t) {
 		g := kg.g
@@ -15,21 +17,24 @@ func TestAsmBlocksBounded(t *testing.T) {
 			offs []int32
 			n    int
 		}{{"cn", g.CNOff, g.M}, {"bn", g.VNOff, g.N}} {
-			for _, nsw := range []int{4, 8, 16, 32, 64} {
-				blocks := 0
-				for lo := 0; lo < side.n; blocks++ {
-					end := blockEnd(side.offs, lo, side.n, nsw)
-					if end <= lo || end > side.n {
-						t.Fatalf("%s %s nsw=%d: block [%d, %d) of %d nodes", kg.name, side.name, nsw, lo, end, side.n)
+			for _, set := range []*avx2Set{xmmSet, ymmSet} {
+				for nsw := set.words; nsw <= 16*set.words; nsw *= 2 {
+					strips := nsw / set.words
+					blocks := 0
+					for lo := 0; lo < side.n; blocks++ {
+						end := blockEnd(side.offs, lo, side.n, strips)
+						if end <= lo || end > side.n {
+							t.Fatalf("%s %s nsw=%d: block [%d, %d) of %d nodes", kg.name, side.name, nsw, lo, end, side.n)
+						}
+						if steps := int(side.offs[end]-side.offs[lo]) * strips; steps > asmSteps && end-lo > 1 {
+							t.Fatalf("%s %s %d-word nsw=%d: block [%d, %d) is %d strip-edge steps, bound %d",
+								kg.name, side.name, set.words, nsw, lo, end, steps, asmSteps)
+						}
+						lo = end
 					}
-					if words := int(side.offs[end]-side.offs[lo]) * nsw; words > asmEdgeWords && end-lo > 1 {
-						t.Fatalf("%s %s nsw=%d: block [%d, %d) is %d edge words, bound %d",
-							kg.name, side.name, nsw, lo, end, words, asmEdgeWords)
+					if kg.name == "c2" && strips == 1 && blocks < 2 {
+						t.Fatalf("c2 %s %d-word nsw=%d: the whole range fit one block", side.name, set.words, nsw)
 					}
-					lo = end
-				}
-				if kg.name == "c2" && nsw == 64 && blocks < 2 {
-					t.Fatalf("c2 %s nsw=64: the whole range fit one block", side.name)
 				}
 			}
 		}

@@ -4,4 +4,4 @@ package batch
 
 // simdKernels reports that this build has no vector strip kernels:
 // every lane width runs the generic Go bodies.
-func simdKernels() (stripKernels, bool) { return stripKernels{}, false }
+func simdKernels(int) (stripKernels, bool) { return stripKernels{}, false }

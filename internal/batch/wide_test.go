@@ -123,50 +123,57 @@ func TestLaneWidthValidation(t *testing.T) {
 	}
 }
 
-// TestEightWordBindingAliasesFour pins the kernelsFor(8) aliasing
-// contract: LaneWidth 8 dispatches a 4-word strip kernel — the AVX2
-// assembly where the CPU has it, the generic [4]uint64 instantiation
-// elsewhere — which is only legal if the generic [8]uint64
-// instantiation computes the identical result over the same words.
-// This test force-binds the [8]uint64 kernels into a LaneWidth-8
-// decoder and diffs every frame against the default binding, so the
-// aliasing can never silently diverge from the code it stands in for.
+// TestEightWordBindingAliasesFour pins the aliasing contract of
+// kernelsFor(8) and kernelsFor(2): LaneWidth 8 dispatches a 4-word
+// strip kernel — the AVX2 assembly where the CPU has it, the generic
+// [4]uint64 instantiation elsewhere — and LaneWidth 2, where the CPU
+// has AVX2, the one-word assembly. That is only legal if the generic
+// instantiation of the full width computes the identical result over
+// the same words. This test force-binds the [8]uint64 (or [2]uint64)
+// kernels into a LaneWidth-8 (or LaneWidth-2) decoder and diffs every
+// frame against the default binding, so the aliasing can never
+// silently diverge from the code it stands in for.
 func TestEightWordBindingAliasesFour(t *testing.T) {
 	c := smallCode(t)
 	p := highSpeedParams()
 	g := ldpc.NewGraph(c)
-	cfg := ParallelConfig{SuperBatch: 1, LaneWidth: 8}
-	nf := cfg.words()*Lanes - 5 // partial tail word
-	qs := make([][]int16, nf)
-	for f := range qs {
-		qs[f] = noisyQ(t, c, p.Format, 2.5, uint64(1700+f))
-	}
-	decode := func(force8 bool) []ldpc.Result {
-		pd, err := NewParallelGraph(g, p, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		lanes int
+		wide  stripKernels
+	}{{8, bindKernels[[8]uint64]()}, {2, bindKernels[[2]uint64]()}} {
+		cfg := ParallelConfig{SuperBatch: 1, LaneWidth: tc.lanes}
+		nf := cfg.words()*Lanes - 5 // partial tail word
+		qs := make([][]int16, nf)
+		for f := range qs {
+			qs[f] = noisyQ(t, c, p.Format, 2.5, uint64(1700+f))
 		}
-		defer pd.Close()
-		if force8 {
-			pd.kern = bindKernels[[8]uint64]()
+		decode := func(force bool) []ldpc.Result {
+			pd, err := NewParallelGraph(g, p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pd.Close()
+			if force {
+				pd.kern = tc.wide
+			}
+			res := make([]ldpc.Result, nf)
+			for f := range res {
+				res[f].Bits = bitvec.New(c.N)
+			}
+			if err := pd.DecodeQInto(res, qs); err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		res := make([]ldpc.Result, nf)
-		for f := range res {
-			res[f].Bits = bitvec.New(c.N)
-		}
-		if err := pd.DecodeQInto(res, qs); err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	def, wide := decode(false), decode(true)
-	for f := 0; f < nf; f++ {
-		if !def[f].Bits.Equal(wide[f].Bits) {
-			t.Fatalf("frame %d: [8]uint64 binding diverges from the default in hard decisions", f)
-		}
-		if def[f].Iterations != wide[f].Iterations || def[f].Converged != wide[f].Converged {
-			t.Fatalf("frame %d: default (it=%d conv=%v) vs [8]uint64 (it=%d conv=%v)",
-				f, def[f].Iterations, def[f].Converged, wide[f].Iterations, wide[f].Converged)
+		def, wide := decode(false), decode(true)
+		for f := 0; f < nf; f++ {
+			if !def[f].Bits.Equal(wide[f].Bits) {
+				t.Fatalf("L%d frame %d: [%d]uint64 binding diverges from the default in hard decisions", tc.lanes, f, tc.lanes)
+			}
+			if def[f].Iterations != wide[f].Iterations || def[f].Converged != wide[f].Converged {
+				t.Fatalf("L%d frame %d: default (it=%d conv=%v) vs [%d]uint64 (it=%d conv=%v)",
+					tc.lanes, f, def[f].Iterations, def[f].Converged, tc.lanes, wide[f].Iterations, wide[f].Converged)
+			}
 		}
 	}
 }

@@ -104,7 +104,7 @@ func quantile(hist []int64, total int64, q float64) float64 {
 type Counts struct {
 	FramesIn       int64 `json:"frames_in"`
 	FramesDecoded  int64 `json:"frames_decoded"`
-	FramesShed     int64 `json:"frames_shed"`     // refused with ErrOverloaded
+	FramesShed     int64 `json:"frames_shed"`     // answered ErrOverloaded
 	FramesDeadline int64 `json:"frames_deadline"` // answered ErrDeadline undecoded
 	// FramesCrashed counts claimed frames a worker panic answered with
 	// ErrWorkerCrash.

@@ -59,7 +59,8 @@ type submitter struct {
 // once: bit-exact with fixed.Decoder, or with ErrDeadline (only under a
 // configured deadline) or ErrOverloaded (only where the queue can
 // fill, and never to DecodeQMulti, which backs off instead), in
-// batches of at most MaxBatch, with every counter balanced after Close.
+// batches of at most MaxBatch, with every counter balanced after Close
+// and frames_shed equal to the ErrOverloaded answers.
 // The interleaving depends on timing, so a failing input replays its
 // configuration and schedule, not the exact run.
 func FuzzServeSchedule(f *testing.F) {
@@ -102,10 +103,8 @@ func FuzzServeSchedule(f *testing.F) {
 			cfg.QueueDepth = 1 + flags>>3%8
 		}
 		subs := make([]*submitter, 1+r.next()%4)
-		multi := false
 		for i := range subs {
 			subs[i] = &submitter{via: r.next() % 3, frames: make([]scheduledFrame, 1+r.next()%48), group: 1 + r.next()%8}
-			multi = multi || subs[i].via == viaDecodeQMulti
 		}
 		total := 0
 		for _, s := range subs {
@@ -163,9 +162,9 @@ func FuzzServeSchedule(f *testing.F) {
 		if snap.FramesIn+int64(overloaded) != int64(total) {
 			t.Errorf("in %d + overloaded answers %d != %d submitted", snap.FramesIn, overloaded, total)
 		}
-		// A DecodeQMulti frame shed by a full queue is sent again, so
-		// its sheds count in FramesShed but reach no caller.
-		if snap.FramesShed < int64(overloaded) || !multi && snap.FramesShed != int64(overloaded) {
+		// A DecodeQMulti frame refused by a full queue is sent again, so
+		// only the refusals that reach a caller count as sheds.
+		if snap.FramesShed != int64(overloaded) {
 			t.Errorf("shed %d for %d overloaded answers", snap.FramesShed, overloaded)
 		}
 		if snap.FramesDecoded != int64(decoded) || snap.FramesDeadline != int64(deadlines) || snap.FramesCrashed != 0 {

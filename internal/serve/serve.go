@@ -408,6 +408,7 @@ func (s *Server) DecodeQ(q []int16, bits *bitvec.Vector) (ldpc.Result, error) {
 	w.claimed.Store(false)
 	if err := s.enqueue(q, bits, w); err != nil {
 		s.waiterPool.Put(w)
+		s.refused(err)
 		return ldpc.Result{}, err
 	}
 	if s.cfg.Deadline > 0 {
@@ -445,7 +446,18 @@ func (s *Server) DecodeQ(q []int16, bits *bitvec.Vector) (ldpc.Result, error) {
 // batches without a goroutine per frame.
 func (s *Server) Submit(q []int16, bits *bitvec.Vector, c Completion) {
 	if err := s.enqueue(q, bits, c); err != nil {
+		s.refused(err)
 		c.Complete(ldpc.Result{}, err)
+	}
+}
+
+// refused accounts for a refusal that reaches the caller: a full queue
+// counts as a shed and as a health failure. DecodeQMulti resends the
+// frames a full queue refuses, so its refusals count as neither.
+func (s *Server) refused(err error) {
+	if errors.Is(err, ErrOverloaded) {
+		s.metrics.framesShed.Add(1)
+		s.health.record(false)
 	}
 }
 
@@ -479,8 +491,6 @@ func (s *Server) enqueue(q []int16, bits *bitvec.Vector, c Completion) error {
 		return nil
 	default:
 		s.mu.RUnlock()
-		s.metrics.framesShed.Add(1)
-		s.health.record(false)
 		s.recycle(req)
 		return ErrOverloaded
 	}

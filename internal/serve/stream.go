@@ -17,8 +17,10 @@ import (
 // linger deadline per frame, and — unlike DecodeQ — a full queue is
 // backpressure, not load shedding: a frame refused with ErrOverloaded
 // is resubmitted after the configured linger as the backoff, because a
-// telemetry stream has nowhere to shed to. ErrClosed and validation
-// errors remain terminal and are reported per frame.
+// telemetry stream has nowhere to shed to. Such a refusal reaches no
+// caller, so it counts neither in frames_shed nor as a health failure.
+// ErrClosed and validation errors remain terminal and are reported per
+// frame.
 //
 // bits may be nil, or have one (possibly nil) destination vector per
 // frame with the same semantics as DecodeQ.

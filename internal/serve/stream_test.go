@@ -7,6 +7,7 @@ import (
 
 	"ccsdsldpc/internal/bitvec"
 	"ccsdsldpc/internal/fixed"
+	"ccsdsldpc/internal/ldpc"
 )
 
 // TestDecodeQMultiMatchesScalar: a group submission must return, per
@@ -46,8 +47,10 @@ func TestDecodeQMultiMatchesScalar(t *testing.T) {
 
 // TestDecodeQMultiBackpressure: a group larger than the queue must
 // complete every frame — ErrOverloaded is retried internally as
-// backpressure, never surfaced, because a telemetry stream has nowhere
-// to shed to.
+// backpressure, never surfaced or counted as a shed, because a
+// telemetry stream has nowhere to shed to.
+// TestDecodeQMultiRetriesAreNotSheds forces the collision
+// deterministically.
 func TestDecodeQMultiBackpressure(t *testing.T) {
 	c := smallCode(t)
 	p := fixed.DefaultHighSpeedParams()
@@ -71,8 +74,66 @@ func TestDecodeQMultiBackpressure(t *testing.T) {
 			t.Fatalf("frame %d: bits differ from scalar decoder", i)
 		}
 	}
-	if shed := s.Metrics().Snapshot().FramesShed; shed == 0 {
-		t.Fatal("a 24-frame group over a depth-2 queue never hit the overload path")
+	if shed := s.Metrics().Snapshot().FramesShed; shed != 0 {
+		t.Fatalf("%d resent frames counted as shed", shed)
+	}
+}
+
+// TestDecodeQMultiRetriesAreNotSheds: a DecodeQMulti frame that a full
+// queue refuses is sent again, and the refusal reaches no caller, so
+// it counts neither as a shed nor as a health failure. The one worker
+// is parked on the group's first frame and the depth-1 queue holds the
+// second, so the third is refused on every try until the worker goes
+// on.
+func TestDecodeQMultiRetriesAreNotSheds(t *testing.T) {
+	c := smallCode(t)
+	p := fixed.DefaultHighSpeedParams()
+	g := newGate()
+	s := newTestServer(t, Config{Code: c, Params: p, Workers: 1, MaxBatch: 1, QueueDepth: 1,
+		Linger: time.Millisecond, panicHook: g.hook})
+	const n = 4
+	qs := make([][]int16, n)
+	for i := range qs {
+		qs[i] = noisyQ(t, c, p.Format, 6.0, uint64(1100+i))
+	}
+	type group struct {
+		res  []ldpc.Result
+		errs []error
+	}
+	done := make(chan group, 1)
+	go func() {
+		res, errs := s.DecodeQMulti(qs, nil)
+		done <- group{res, errs}
+	}()
+	<-g.entered // frame 0 parked in the worker
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Metrics().Snapshot().QueueDepth < 1 { // frame 1 fills the queue
+		if time.Now().After(deadline) {
+			t.Fatal("the group's second frame never reached the queue")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(20 * time.Millisecond) // frame 2 is refused at every 1 ms backoff
+	g.pass()
+	for i := 1; i < n; i++ {
+		<-g.entered
+		g.pass()
+	}
+	out := <-done
+	ref := scalarRef(t, c, p, qs)
+	for i := range qs {
+		if out.errs[i] != nil {
+			t.Fatalf("frame %d: %v", i, out.errs[i])
+		}
+		if !out.res[i].Bits.Equal(ref[i].bits) || !out.res[i].Converged {
+			t.Fatalf("frame %d: not decoded bit-exact and converged", i)
+		}
+	}
+	if snap := s.Metrics().Snapshot(); snap.FramesShed != 0 || snap.FramesIn != n {
+		t.Errorf("frames_shed %d, frames_in %d: want 0 and %d", snap.FramesShed, snap.FramesIn, n)
+	}
+	if hs := s.HealthSnapshot(); hs.FailureRate != 0 || hs.Samples != n {
+		t.Errorf("health saw %d samples at failure rate %v: want %d decodes and no failure", hs.Samples, hs.FailureRate, n)
 	}
 }
 
