@@ -3,10 +3,12 @@ package batch
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ccsdsldpc/internal/bitvec"
+	"ccsdsldpc/internal/code"
 	"ccsdsldpc/internal/fixed"
 	"ccsdsldpc/internal/ldpc"
 )
@@ -105,5 +107,36 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%s decode allocates %.1f objects per call, want 0", tc.name, best)
 			}
 		})
+	}
+}
+
+// TestConstructionFootprint guards the decoder's memory: the bytes
+// NewParallelGraph allocates on C2 over a prebuilt graph. With one
+// message word per edge per frame, and the float path's quantization
+// scratch left to the first DecodeInto, that is about 3.6 MB at
+// LaneWidth 8 and 0.8 MB at LaneWidth 1. A second message array would
+// add 2.1 MB and 0.26 MB.
+func TestConstructionFootprint(t *testing.T) {
+	skipUnderFuzzEngine(t)
+	c, err := code.CCSDS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ldpc.NewGraph(c)
+	for _, tc := range []struct {
+		lanes int
+		maxMB float64
+	}{{8, 3.8}, {1, 0.9}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := NewParallelGraph(g, highSpeedParams(), ParallelConfig{LaneWidth: tc.lanes})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > tc.maxMB {
+			t.Errorf("LaneWidth %d: NewParallelGraph allocates %.2f MB on C2, bound %.1f MB", tc.lanes, mb, tc.maxMB)
+		}
 	}
 }

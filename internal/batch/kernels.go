@@ -14,6 +14,20 @@ import (
 // stripState is the decoder state a strip kernel operates on. Parallel
 // embeds one; the kernels are free functions over it so a single
 // generic body serves every strip width.
+//
+// The message memory is one word per edge, as in the paper's banked
+// message memory: the check-node phase reads each edge's v→c word and
+// overwrites it with the c→v word, and the bit-node phase does the
+// reverse. Nothing seeds or clears it between decodes: the first
+// iteration's check-node pass (stripKernels.cnFirst) reads its v→c words,
+// the channel words, straight from qw. Lanes frozen at iteration 0 —
+// the tail lanes of a partial word and the padding words — keep
+// whatever the previous decode left in msg and postw. That is safe:
+// every message word always holds lanes in ±Max (zero from make, a
+// check-node output or a clamped bit-node output), and qw holds
+// saturated channel lanes, so the SWAR precondition of no −128 lanes
+// holds for lanes nobody reads, and their results are masked
+// everywhere observable.
 type stripState struct {
 	g *ldpc.Graph
 
@@ -25,8 +39,7 @@ type stripState struct {
 	nsw int
 
 	qw    []uint64 // channel LLRs, per VN (bank-major)
-	vcw   []uint64 // variable→check messages, per edge
-	cvw   []uint64 // check→variable messages, per edge
+	msg   []uint64 // edge messages: v→c before a CN pass, c→v after it
 	postw []uint64 // posteriors, per VN
 
 	// done[w] holds 0xFF in every frozen lane of word w.
@@ -45,6 +58,10 @@ type stripState struct {
 	cnOff []int32
 	bnOff []int32
 	vnOff []int32
+
+	// The largest check and bit degrees, which bound the work of a
+	// node range for the assembly's block cuts.
+	maxCN, maxVN int
 
 	// Precomputed lane constants of the scale and the format range.
 	num       uint64
@@ -69,13 +86,14 @@ func newStripState(g *ldpc.Graph, p fixed.Params, tw int) stripState {
 		g:      g,
 		tw:     tw,
 		qw:     make([]uint64, g.N*tw),
-		vcw:    make([]uint64, g.E*tw),
-		cvw:    make([]uint64, g.E*tw),
+		msg:    make([]uint64, g.E*tw),
 		postw:  make([]uint64, g.N*tw),
 		done:   make([]uint64, tw),
 		cnOff:  make([]int32, g.E),
 		bnOff:  make([]int32, g.E),
 		vnOff:  make([]int32, g.E),
+		maxCN:  maxDegree(g.CNOff),
+		maxVN:  maxDegree(g.VNOff),
 		maxVec: broadcast8(uint8(p.Format.Max())),
 	}
 	st.setScale(p.Scale)
@@ -98,6 +116,15 @@ func newStripState(g *ldpc.Graph, p fixed.Params, tw int) stripState {
 	return st
 }
 
+// maxDegree returns the largest node degree of a CSR offset table.
+func maxDegree(offs []int32) int {
+	d := int32(0)
+	for k := 1; k < len(offs); k++ {
+		d = max(d, offs[k]-offs[k-1])
+	}
+	return int(d)
+}
+
 // setScale sets the lane constants of the check-node scale.
 func (st *stripState) setScale(s fixed.Scale) {
 	st.num = uint64(s.Num)
@@ -107,16 +134,17 @@ func (st *stripState) setScale(s fixed.Scale) {
 
 // stripKernels binds one strip width's kernel instantiations, chosen
 // once at decoder construction so the decode loop pays a plain
-// indirect call instead of a per-phase switch.
+// indirect call instead of a per-phase switch. cnFirst is the first
+// iteration's check-node pass, and cn every later one.
 type stripKernels struct {
-	init  func(st *stripState, elo, ehi int)
-	cn    func(st *stripState, ilo, ihi int)
-	bn    func(st *stripState, jlo, jhi int)
-	unsat func(st *stripState, ilo, ihi int, out []uint64)
+	cnFirst func(st *stripState, ilo, ihi int)
+	cn      func(st *stripState, ilo, ihi int)
+	bn      func(st *stripState, jlo, jhi int)
+	unsat   func(st *stripState, ilo, ihi int, out []uint64)
 }
 
 func bindKernels[S strip]() stripKernels {
-	return stripKernels{init: initBlockedEdges, cn: cnBlockedStrips[S], bn: bnBlockedStrips[S], unsat: unsatBlockedStrips[S]}
+	return stripKernels{cnFirst: cnFirstBlockedStrips[S], cn: cnBlockedStrips[S], bn: bnBlockedStrips[S], unsat: unsatBlockedStrips[S]}
 }
 
 // kernelsFor returns the kernel set for a validated lane width.
@@ -191,52 +219,48 @@ func genericFor(w int) stripKernels {
 //     preserve exact lane values, so the freeze masks, iteration
 //     counts and fault-injection trajectories stay identical.
 
-// initBlockedEdges seeds vc with the channel words and clears cv on an
-// edge range, finding both the channel source and the message
-// destination through the offset tables. It covers the padding words
-// too, so every decode starts dead words from legitimate in-range
-// message values (their results are masked everywhere observable, but
-// the SWAR preconditions — no −128 lanes — must hold even for lanes
-// nobody reads).
-func initBlockedEdges(st *stripState, elo, ehi int) {
-	nsw := st.nsw
-	qw, vcw, cvw := st.qw, st.vcw, st.cvw
-	cnOff, vnOff := st.cnOff[elo:ehi], st.vnOff[elo:ehi]
-	for t, eb := range cnOff {
-		q := qw[int(vnOff[t]):][:nsw]
-		vc := vcw[int(eb):][:nsw]
-		cv := cvw[int(eb):][:nsw]
-		for w := 0; w < nsw; w++ {
-			vc[w] = q[w]
-			cv[w] = 0
-		}
-	}
-}
-
 // cnBlockedStrips runs the packed check-node update (paper equation
 // (2)) on a check-node range, one strip of words at a time: per lane,
 // the sign product and scaled min of the other inputs via the
-// min1/min2 trick. The edges of check i stay the canonical contiguous
-// range [CNOff[i], CNOff[i+1]); their message words are found through
-// cnOff, advancing one sequential stream per circulant run of the
-// block row. A strip whose lanes are all frozen is skipped; frozen
-// lanes inside a live strip keep their previous messages through the
-// done-mask blend, which freezes the whole lane trajectory (the
-// bit-node pass is a pure function of cv and the channel word).
+// min1/min2 trick. It reads each edge's v→c word from msg and
+// overwrites it with the edge's c→v word.
+func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
+	cnStrips[S](st, ilo, ihi, st.msg, st.cnOff)
+}
+
+// cnFirstBlockedStrips is the first iteration's check-node pass. At
+// iteration 0 the v→c word of edge e is the channel word of its bit
+// node, so it reads qw through vnOff where cnBlockedStrips reads msg
+// through cnOff, and nothing needs to seed the message memory.
+func cnFirstBlockedStrips[S strip](st *stripState, ilo, ihi int) {
+	cnStrips[S](st, ilo, ihi, st.qw, st.vnOff)
+}
+
+// cnStrips is the body of both check-node passes: the v→c words of
+// edge e are at in[inOff[e]:], and its c→v words go to msg[cnOff[e]:].
+// The edges of check i stay the canonical contiguous range
+// [CNOff[i], CNOff[i+1]); their message words advance one sequential
+// stream per circulant run of the block row. A strip whose lanes are
+// all frozen is skipped; frozen lanes inside a live strip keep their
+// message words through the done-mask blend, and the bit-node pass
+// blends them back in the same way, which freezes the whole lane
+// trajectory.
 //
 // The min1/min2 recurrence tracks the strict minimum — lt is a strict
 // compare, so the first edge attaining the minimum keeps minIdx, as in
 // internal/fixed — around a single compare per edge word: the round's
 // loser (the larger of m and the old min1) is what competes for min2,
 // which equals min(min2, m) because min1 ≤ min2 holds inductively.
-func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
+func cnStrips[S strip](st *stripState, ilo, ihi int, in []uint64, inOff []int32) {
 	g, nsw := st.g, st.nsw
-	vcw, cvw, done := st.vcw, st.cvw, st.done
+	msg, done := st.msg, st.done
 	cnOff := st.cnOff
 	num, shift, shiftMask := st.num, st.shift, st.shiftMask
 	K := stripLen[S]()
 	for i := ilo; i < ihi; i++ {
-		off := cnOff[g.CNOff[i]:g.CNOff[i+1]]
+		elo, ehi := g.CNOff[i], g.CNOff[i+1]
+		rd := inOff[elo:ehi]
+		wr := cnOff[elo:ehi][:len(rd)]
 		for sb := 0; sb < nsw; sb += K {
 			dw := done[sb:][:K]
 			var dn S
@@ -257,10 +281,10 @@ func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
 				min2[k] = ^laneMSB
 			}
 			idx := uint64(0)
-			for _, e := range off {
+			for _, e := range rd {
 				eb := int(e) + sb
 				for k := 0; k < K; k++ {
-					x := vcw[eb+k]
+					x := in[eb+k]
 					t := x & laneMSB
 					signAcc[k] ^= t
 					n := t >> 7
@@ -291,32 +315,33 @@ func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
 			}
 			// Pass 2: each edge outputs min1 — or min2 in the lanes where
 			// this edge is the minimum — with the extrinsic sign: two
-			// blends pick among the four precomputed values. The
-			// frozen-lane blend is hoisted into a per-strip branch: a strip
-			// with no frozen lane (the common case) writes outputs
+			// blends pick among the four precomputed values. Each edge's
+			// v→c word is read before its c→v word overwrites it. The
+			// frozen-lane blend is hoisted into a per-strip branch: a
+			// strip with no frozen lane (the common case) writes outputs
 			// directly.
 			idx = 0
 			if anyDone == 0 {
-				for _, e := range off {
-					eb := int(e) + sb
+				for t, e := range rd {
+					rb, wb := int(e)+sb, int(wr[t])+sb
 					for k := 0; k < K; k++ {
 						eq := eqPos8(minIdx[k], idx)
-						sf := boolMask8(signAcc[k] ^ vcw[eb+k])
+						sf := boolMask8(signAcc[k] ^ in[rb+k])
 						pos := blend8(v1[k], v2[k], eq)
 						neg := blend8(n1[k], n2[k], eq)
-						cvw[eb+k] = blend8(pos, neg, sf)
+						msg[wb+k] = blend8(pos, neg, sf)
 					}
 					idx += laneLSB
 				}
 			} else {
-				for _, e := range off {
-					eb := int(e) + sb
+				for t, e := range rd {
+					rb, wb := int(e)+sb, int(wr[t])+sb
 					for k := 0; k < K; k++ {
 						eq := eqPos8(minIdx[k], idx)
-						sf := boolMask8(signAcc[k] ^ vcw[eb+k])
+						sf := boolMask8(signAcc[k] ^ in[rb+k])
 						pos := blend8(v1[k], v2[k], eq)
 						neg := blend8(n1[k], n2[k], eq)
-						cvw[eb+k] = blend8(blend8(pos, neg, sf), cvw[eb+k], dn[k])
+						msg[wb+k] = blend8(blend8(pos, neg, sf), msg[wb+k], dn[k])
 					}
 					idx += laneLSB
 				}
@@ -327,20 +352,22 @@ func cnBlockedStrips[S strip](st *stripState, ilo, ihi int) {
 
 // bnBlockedStrips runs the packed bit-node update (paper equation (3))
 // on a bit-node range, strip-wise: the posterior is the channel word
-// plus all incoming messages; each outgoing message is the posterior
-// minus the edge's own input, saturated into the format range. The
-// incident edges of bit node j stay the canonical VNOff range, with
-// the message words found through bnOff — one sequential stream per
-// circulant run of j's column block. The saturation runs in
-// sign-magnitude form — split off the sign, cap the magnitude with the
-// cheap bit-7-clear minimum, reapply the sign — which is lane-for-lane
-// clamp(x, −Max, +Max), since the posterior sums cannot reach −128 by
-// the validatePacked headroom bound. Recomputing a frozen word inside
-// a live strip is idempotent (its cv and channel words are frozen), so
-// only fully frozen strips are skipped.
+// plus all incoming c→v messages; each outgoing v→c message, written
+// over the edge's c→v word, is the posterior minus the edge's own
+// input, saturated into the format range. The incident edges of bit
+// node j stay the canonical VNOff range, with the message words found
+// through bnOff — one sequential stream per circulant run of j's
+// column block. The saturation runs in sign-magnitude form — split off
+// the sign, cap the magnitude with the cheap bit-7-clear minimum,
+// reapply the sign — which is lane-for-lane clamp(x, −Max, +Max),
+// since the posterior sums cannot reach −128 by the validatePacked
+// headroom bound. Frozen lanes keep their posterior and message words
+// through the done blend: their message word holds the v→c message the
+// check-node pass kept, which this pass cannot recompute. Fully frozen
+// strips are skipped.
 func bnBlockedStrips[S strip](st *stripState, jlo, jhi int) {
 	g, tw, nsw := st.g, st.tw, st.nsw
-	vcw, cvw, postw, qw, done := st.vcw, st.cvw, st.postw, st.qw, st.done
+	msg, postw, qw, done := st.msg, st.postw, st.qw, st.done
 	bnOff := st.bnOff
 	maxVec := st.maxVec
 	K := stripLen[S]()
@@ -348,9 +375,11 @@ func bnBlockedStrips[S strip](st *stripState, jlo, jhi int) {
 		klo, khi := int(g.VNOff[j]), int(g.VNOff[j+1])
 		jt := j * tw
 		for sb := 0; sb < nsw; sb += K {
+			var dn S
 			frozen := ^uint64(0)
 			for k := 0; k < K; k++ {
-				frozen &= done[sb+k]
+				dn[k] = done[sb+k]
+				frozen &= dn[k]
 			}
 			if frozen == ^uint64(0) {
 				continue
@@ -363,16 +392,17 @@ func bnBlockedStrips[S strip](st *stripState, jlo, jhi int) {
 			for kk := klo; kk < khi; kk++ {
 				eb := int(bnOff[kk]) + sb
 				for k := 0; k < K; k++ {
-					post[k] = add8(post[k], cvw[eb+k])
+					post[k] = add8(post[k], msg[eb+k])
 				}
 			}
 			for k := 0; k < K; k++ {
-				postw[jb+k] = post[k]
+				postw[jb+k] = blend8(post[k], postw[jb+k], dn[k])
 			}
 			for kk := klo; kk < khi; kk++ {
 				eb := int(bnOff[kk]) + sb
 				for k := 0; k < K; k++ {
-					x := sub8(post[k], cvw[eb+k])
+					cv := msg[eb+k]
+					x := sub8(post[k], cv)
 					t := x & laneMSB
 					n := t >> 7
 					s := n * 0xFF
@@ -380,7 +410,7 @@ func bnBlockedStrips[S strip](st *stripState, jlo, jhi int) {
 					// Re-sign with the same cheap conditional negate:
 					// in every lane with s = 0xFF the magnitude m ≥ 1,
 					// so (m^s)+n cannot carry out of the lane.
-					vcw[eb+k] = (m ^ s) + n
+					msg[eb+k] = blend8((m^s)+n, cv, dn[k])
 				}
 			}
 		}

@@ -14,35 +14,42 @@ func cpuHasAVX2() bool
 // strip per XMM register. Both widths take the same arguments.
 
 //go:noescape
-func cnYMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+func cnYMM(msg, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
 
 //go:noescape
-func bnYMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+func cnFirstYMM(qw, msg, done []uint64, vnOff, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+
+//go:noescape
+func bnYMM(qw, postw, msg, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
 
 //go:noescape
 func unsatYMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
 
 //go:noescape
-func cnXMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+func cnXMM(msg, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
 
 //go:noescape
-func bnXMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+func cnFirstXMM(qw, msg, done []uint64, vnOff, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+
+//go:noescape
+func bnXMM(qw, postw, msg, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
 
 //go:noescape
 func unsatXMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
 
 // avx2Set is the assembly of one strip width: words packed words per
-// strip, one vector register each, and the three kernel bodies.
+// strip, one vector register each, and the four kernel bodies.
 type avx2Set struct {
-	words     int
-	cnBody    func(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
-	bnBody    func(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
-	unsatBody func(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
+	words       int
+	cnBody      func(msg, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+	cnFirstBody func(qw, msg, done []uint64, vnOff, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+	bnBody      func(qw, postw, msg, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+	unsatBody   func(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
 }
 
 var (
-	ymmSet = &avx2Set{4, cnYMM, bnYMM, unsatYMM}
-	xmmSet = &avx2Set{1, cnXMM, bnXMM, unsatXMM}
+	ymmSet = &avx2Set{4, cnYMM, cnFirstYMM, bnYMM, unsatYMM}
+	xmmSet = &avx2Set{1, cnXMM, cnFirstXMM, bnXMM, unsatXMM}
 )
 
 // simdKernels returns the AVX2 kernels for a validated lane width w,
@@ -57,7 +64,7 @@ func simdKernels(w int) (stripKernels, bool) {
 	if w <= 2 {
 		set = xmmSet
 	}
-	return stripKernels{init: initBlockedEdges, cn: set.cnAVX2, bn: set.bnAVX2, unsat: set.unsatAVX2}, true
+	return stripKernels{cnFirst: set.cnFirstAVX2, cn: set.cnAVX2, bn: set.bnAVX2, unsat: set.unsatAVX2}, true
 }
 
 // asmSteps bounds the work of one assembly call, in strip-edge steps:
@@ -71,34 +78,34 @@ func simdKernels(w int) (stripKernels, bool) {
 // takes at most about 50 µs at either width.
 const asmSteps = 1 << 13
 
-// blockEnd returns the end of the node block that starts at lo: the
-// nodes of [lo, hi) whose edges, [offs[k], offs[k+1]) for node k, fit
-// in asmSteps at strips steps per edge, and always at least one.
-func blockEnd(offs []int32, lo, hi, strips int) int {
-	limit := offs[lo] + int32(asmSteps/strips)
-	end := lo + 1
-	for end < hi && offs[end+1] <= limit {
-		end++
-	}
-	return end
-}
+// blockNodes returns how many nodes one assembly call covers on a side
+// whose nodes have at most maxDeg edges: as many as fit in asmSteps at
+// strips steps per edge, and always at least one. The cut depends only
+// on the graph and nsw, so a phase call pays one division for it.
+func blockNodes(maxDeg, strips int) int { return max(1, asmSteps/(maxDeg*strips)) }
 
 func (a *avx2Set) cnAVX2(st *stripState, ilo, ihi int) {
-	for i := ilo; i < ihi; {
-		end := blockEnd(st.g.CNOff, i, ihi, st.nsw/a.words)
-		a.cnBody(st.vcw, st.cvw, st.done, st.cnOff, st.g.CNOff[i:end+1], st.nsw,
+	step := blockNodes(st.maxCN, st.nsw/a.words)
+	for i := ilo; i < ihi; i += step {
+		a.cnBody(st.msg, st.done, st.cnOff, st.g.CNOff[i:min(i+step, ihi)+1], st.nsw,
 			st.num, uint64(st.shift), st.shiftMask)
-		i = end
+	}
+}
+
+func (a *avx2Set) cnFirstAVX2(st *stripState, ilo, ihi int) {
+	step := blockNodes(st.maxCN, st.nsw/a.words)
+	for i := ilo; i < ihi; i += step {
+		a.cnFirstBody(st.qw, st.msg, st.done, st.vnOff, st.cnOff, st.g.CNOff[i:min(i+step, ihi)+1], st.nsw,
+			st.num, uint64(st.shift), st.shiftMask)
 	}
 }
 
 func (a *avx2Set) bnAVX2(st *stripState, jlo, jhi int) {
-	for j := jlo; j < jhi; {
-		end := blockEnd(st.g.VNOff, j, jhi, st.nsw/a.words)
+	step := blockNodes(st.maxVN, st.nsw/a.words)
+	for j := jlo; j < jhi; j += step {
 		jt := j * st.tw
-		a.bnBody(st.qw[jt:], st.postw[jt:], st.vcw, st.cvw, st.done, st.bnOff, st.g.VNOff[j:end+1],
+		a.bnBody(st.qw[jt:], st.postw[jt:], st.msg, st.done, st.bnOff, st.g.VNOff[j:min(j+step, jhi)+1],
 			st.tw, st.nsw, st.maxVec)
-		j = end
 	}
 }
 
@@ -107,9 +114,8 @@ func (a *avx2Set) bnAVX2(st *stripState, jlo, jhi int) {
 // unsatisfied or frozen, so the early exit carries across blocks.
 func (a *avx2Set) unsatAVX2(st *stripState, ilo, ihi int, out []uint64) {
 	clear(out[:st.nsw])
-	for i := ilo; i < ihi; {
-		end := blockEnd(st.g.CNOff, i, ihi, st.nsw/a.words)
-		a.unsatBody(st.postw, st.done, st.vnOff, st.g.CNOff[i:end+1], st.nsw, out)
-		i = end
+	step := blockNodes(st.maxCN, st.nsw/a.words)
+	for i := ilo; i < ihi; i += step {
+		a.unsatBody(st.postw, st.done, st.vnOff, st.g.CNOff[i:min(i+step, ihi)+1], st.nsw, out)
 	}
 }

@@ -66,9 +66,15 @@ no:
 	RET
 
 // CN_STRIPS runs check nodes rows[0:len-1]: check i's edges are
-// [rows[i], rows[i+1]), their message words found through cnOff.
-// Entry: SI vcw, DI cvw, R10 done, R13 cnOff, R11 rows, R12 len(rows),
-// R9 nsw, X12 Num, X11 the shift count, X10 0xFF>>Shift per lane.
+// [rows[i], rows[i+1]). It reads each edge's v→c words from SI at the
+// word offset in its read-table entry, and writes the edge's c→v words
+// to DI at the word offset WRIDX leaves in AX. Entry: SI the v→c
+// source, DI msg, R10 done, R13 the read table, R11 rows, R12
+// len(rows), R9 nsw, X12 Num, X11 the shift count, X10 0xFF>>Shift per
+// lane. The steady-state pass reads and writes msg through cnOff, so
+// SI = DI and WRIDX is empty. The first pass reads the channel words,
+// qw, through vnOff; its WRIDX loads the edge's cnOff entry, R14 bytes
+// on from its vnOff entry.
 //
 // Pass 1 keeps the sign parity in bit 7 of V0, min1 in V2, min2 in V3
 // and min1's edge index in V1; V4 counts edges. The scale runs in
@@ -76,8 +82,9 @@ no:
 // into its neighbour, and the mask clears the bits the shift brings
 // down from the high byte. Pass 2 emits min1 or, at min1's own edge,
 // min2, signed by the extrinsic parity; OR-ing in 1 keeps VPSIGNB's
-// sign source nonzero, so it negates or keeps and never zeroes. A
-// strip with a frozen lane blends its old messages back in.
+// sign source nonzero, so it negates or keeps and never zeroes. Each
+// edge's v→c word is read before its c→v word is stored. A strip with
+// a frozen lane blends its old message words back in.
 #define CN_STRIPS \
 	DECQ R12                             /* check count */; \
 	JLE  cnRet; \
@@ -97,7 +104,7 @@ no:
 cnCheck: \
 	MOVLQSX (R11), AX; \
 	MOVLQSX 4(R11), DX; \
-	LEAQ (R13)(AX*4), R8                 /* first cnOff entry of the check */; \
+	LEAQ (R13)(AX*4), R8                 /* first read-table entry of the check */; \
 	LEAQ (R13)(DX*4), DX                 /* end of the check's entries */; \
 	CMPQ R8, DX; \
 	JEQ  cnNext; \
@@ -146,6 +153,7 @@ cnPass2: \
 	VPXOR     V5, V0, V5; \
 	VPOR      V14, V5, V5; \
 	VPSIGNB   V5, V7, V7; \
+	WRIDX; \
 	VMOV      V7, (DI)(AX*8); \
 	VPADDB    V14, V4, V4; \
 	ADDQ      $4, CX; \
@@ -161,6 +169,7 @@ cnPass2Frozen: \
 	VPXOR     V5, V0, V5; \
 	VPOR      V14, V5, V5; \
 	VPSIGNB   V5, V7, V7; \
+	WRIDX; \
 	VMOV      (DI)(AX*8), V8; \
 	VPBLENDVB V9, V8, V7, V7             /* frozen lanes keep their message */; \
 	VMOV      V7, (DI)(AX*8); \
@@ -182,13 +191,16 @@ cnRet: \
 
 // BN_STRIPS runs bit nodes cols[0:len-1]: node j's incoming edges are
 // bnOff[cols[j]:cols[j+1]]; qw and postw start at the first node's
-// words, tw words per node. Entry: R8 qw, R9 postw, SI vcw, DI cvw,
-// R10 done, R13 bnOff, R11 cols, AX len(cols), CX tw, R14 nsw, X14
-// Max per lane; the frame holds the locals nodes and tw.
+// words, tw words per node. Entry: R8 qw, R9 postw, SI msg, R10 done,
+// R13 bnOff, R11 cols, AX len(cols), CX tw, R14 nsw, X14 Max per lane;
+// the frame holds the locals nodes and tw.
 //
-// The posterior is the channel word plus every incoming message; each
-// outgoing message is the posterior minus the edge's own input,
-// clamped to [−Max, +Max].
+// The posterior is the channel word plus every incoming c→v message;
+// each outgoing v→c message, stored over the edge's c→v word, is the
+// posterior minus the edge's own input, clamped to [−Max, +Max]. A
+// strip with a frozen lane takes a loop of its own that blends the old
+// posterior and message words back in, so a live strip pays one
+// VPTEST for it.
 #define BN_STRIPS \
 	MOVQ CX, tw-16(SP); \
 	DECQ AX                              /* node count */; \
@@ -219,20 +231,22 @@ bnStrip: \
 bnSum: \
 	MOVLQSX (CX), AX; \
 	ADDQ    BX, AX; \
-	VMOV    (DI)(AX*8), V2; \
+	VMOV    (SI)(AX*8), V2; \
 	VPADDB  V2, V0, V0; \
 	ADDQ    $4, CX; \
 	CMPQ    CX, DX; \
 	JNE     bnSum; \
 bnPost: \
-	VMOV V0, (R9)(BX*8); \
-	MOVQ R12, CX; \
-	CMPQ CX, DX; \
-	JEQ  bnSkip; \
+	MOVQ   R12, CX; \
+	VPTEST V9, V9                        /* ZF: no frozen lane in the strip */; \
+	JNE    bnPostFrozen; \
+	VMOV   V0, (R9)(BX*8); \
+	CMPQ   CX, DX; \
+	JEQ    bnSkip; \
 bnOut: \
 	MOVLQSX (CX), AX; \
 	ADDQ    BX, AX; \
-	VMOV    (DI)(AX*8), V2; \
+	VMOV    (SI)(AX*8), V2; \
 	VPSUBB  V2, V0, V1; \
 	VPMINSB V14, V1, V1; \
 	VPMAXSB V13, V1, V1; \
@@ -240,6 +254,25 @@ bnOut: \
 	ADDQ    $4, CX; \
 	CMPQ    CX, DX; \
 	JNE     bnOut; \
+	JMP     bnSkip; \
+bnPostFrozen: \
+	VMOV      (R9)(BX*8), V3; \
+	VPBLENDVB V9, V3, V0, V3             /* frozen lanes keep their posterior */; \
+	VMOV      V3, (R9)(BX*8); \
+	CMPQ      CX, DX; \
+	JEQ       bnSkip; \
+bnOutFrozen: \
+	MOVLQSX   (CX), AX; \
+	ADDQ      BX, AX; \
+	VMOV      (SI)(AX*8), V2; \
+	VPSUBB    V2, V0, V1; \
+	VPMINSB   V14, V1, V1; \
+	VPMAXSB   V13, V1, V1; \
+	VPBLENDVB V9, V2, V1, V1             /* and their message */; \
+	VMOV      V1, (SI)(AX*8); \
+	ADDQ      $4, CX; \
+	CMPQ      CX, DX; \
+	JNE       bnOutFrozen; \
 bnSkip: \
 	ADDQ $STEP, BX; \
 	CMPQ BX, R14; \
@@ -333,33 +366,60 @@ unsatRet: \
 #define FILL(x, v) VPBROADCASTQ x, v
 #define STEP 4
 
-// func cnYMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
-TEXT ·cnYMM(SB), NOSPLIT, $0-152
-	MOVQ vcw_base+0(FP), SI
-	MOVQ cvw_base+24(FP), DI
-	MOVQ done_base+48(FP), R10
-	MOVQ cnOff_base+72(FP), R13
-	MOVQ rows_base+96(FP), R11
-	MOVQ rows_len+104(FP), R12
-	MOVQ nsw+120(FP), R9
-	MOVQ num+128(FP), X12
-	MOVQ shift+136(FP), X11
-	MOVQ shiftMask+144(FP), X10
+// The steady-state CN reads and writes msg through cnOff: WRIDX is
+// empty.
+#define WRIDX
+
+// func cnYMM(msg, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+TEXT ·cnYMM(SB), NOSPLIT, $0-128
+	MOVQ msg_base+0(FP), SI
+	MOVQ SI, DI
+	MOVQ done_base+24(FP), R10
+	MOVQ cnOff_base+48(FP), R13
+	MOVQ rows_base+72(FP), R11
+	MOVQ rows_len+80(FP), R12
+	MOVQ nsw+96(FP), R9
+	MOVQ num+104(FP), X12
+	MOVQ shift+112(FP), X11
+	MOVQ shiftMask+120(FP), X10
 	CN_STRIPS
 
-// func bnYMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
-TEXT ·bnYMM(SB), NOSPLIT, $16-192
+#undef WRIDX
+
+// The first pass reads qw through vnOff and finds each edge's write
+// offset in cnOff: R14 = &cnOff[0] − &vnOff[0].
+#define WRIDX MOVLQSX (CX)(R14*1), AX; ADDQ BX, AX
+
+// func cnFirstYMM(qw, msg, done []uint64, vnOff, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+TEXT ·cnFirstYMM(SB), NOSPLIT, $0-176
+	MOVQ qw_base+0(FP), SI
+	MOVQ msg_base+24(FP), DI
+	MOVQ done_base+48(FP), R10
+	MOVQ vnOff_base+72(FP), R13
+	MOVQ cnOff_base+96(FP), R14
+	SUBQ R13, R14
+	MOVQ rows_base+120(FP), R11
+	MOVQ rows_len+128(FP), R12
+	MOVQ nsw+144(FP), R9
+	MOVQ num+152(FP), X12
+	MOVQ shift+160(FP), X11
+	MOVQ shiftMask+168(FP), X10
+	CN_STRIPS
+
+#undef WRIDX
+
+// func bnYMM(qw, postw, msg, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+TEXT ·bnYMM(SB), NOSPLIT, $16-168
 	MOVQ qw_base+0(FP), R8
 	MOVQ postw_base+24(FP), R9
-	MOVQ vcw_base+48(FP), SI
-	MOVQ cvw_base+72(FP), DI
-	MOVQ done_base+96(FP), R10
-	MOVQ bnOff_base+120(FP), R13
-	MOVQ cols_base+144(FP), R11
-	MOVQ cols_len+152(FP), AX
-	MOVQ tw+168(FP), CX
-	MOVQ nsw+176(FP), R14
-	MOVQ maxVec+184(FP), X14
+	MOVQ msg_base+48(FP), SI
+	MOVQ done_base+72(FP), R10
+	MOVQ bnOff_base+96(FP), R13
+	MOVQ cols_base+120(FP), R11
+	MOVQ cols_len+128(FP), AX
+	MOVQ tw+144(FP), CX
+	MOVQ nsw+152(FP), R14
+	MOVQ maxVec+160(FP), X14
 	BN_STRIPS
 
 // func unsatYMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)
@@ -414,33 +474,60 @@ TEXT ·unsatYMM(SB), NOSPLIT, $0-128
 #define FILL(x, v)
 #define STEP 1
 
-// func cnXMM(vcw, cvw, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
-TEXT ·cnXMM(SB), NOSPLIT, $0-152
-	MOVQ vcw_base+0(FP), SI
-	MOVQ cvw_base+24(FP), DI
-	MOVQ done_base+48(FP), R10
-	MOVQ cnOff_base+72(FP), R13
-	MOVQ rows_base+96(FP), R11
-	MOVQ rows_len+104(FP), R12
-	MOVQ nsw+120(FP), R9
-	MOVQ num+128(FP), X12
-	MOVQ shift+136(FP), X11
-	MOVQ shiftMask+144(FP), X10
+// The steady-state CN reads and writes msg through cnOff: WRIDX is
+// empty.
+#define WRIDX
+
+// func cnXMM(msg, done []uint64, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+TEXT ·cnXMM(SB), NOSPLIT, $0-128
+	MOVQ msg_base+0(FP), SI
+	MOVQ SI, DI
+	MOVQ done_base+24(FP), R10
+	MOVQ cnOff_base+48(FP), R13
+	MOVQ rows_base+72(FP), R11
+	MOVQ rows_len+80(FP), R12
+	MOVQ nsw+96(FP), R9
+	MOVQ num+104(FP), X12
+	MOVQ shift+112(FP), X11
+	MOVQ shiftMask+120(FP), X10
 	CN_STRIPS
 
-// func bnXMM(qw, postw, vcw, cvw, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
-TEXT ·bnXMM(SB), NOSPLIT, $16-192
+#undef WRIDX
+
+// The first pass reads qw through vnOff and finds each edge's write
+// offset in cnOff: R14 = &cnOff[0] − &vnOff[0].
+#define WRIDX MOVLQSX (CX)(R14*1), AX; ADDQ BX, AX
+
+// func cnFirstXMM(qw, msg, done []uint64, vnOff, cnOff, rows []int32, nsw int, num, shift, shiftMask uint64)
+TEXT ·cnFirstXMM(SB), NOSPLIT, $0-176
+	MOVQ qw_base+0(FP), SI
+	MOVQ msg_base+24(FP), DI
+	MOVQ done_base+48(FP), R10
+	MOVQ vnOff_base+72(FP), R13
+	MOVQ cnOff_base+96(FP), R14
+	SUBQ R13, R14
+	MOVQ rows_base+120(FP), R11
+	MOVQ rows_len+128(FP), R12
+	MOVQ nsw+144(FP), R9
+	MOVQ num+152(FP), X12
+	MOVQ shift+160(FP), X11
+	MOVQ shiftMask+168(FP), X10
+	CN_STRIPS
+
+#undef WRIDX
+
+// func bnXMM(qw, postw, msg, done []uint64, bnOff, cols []int32, tw, nsw int, maxVec uint64)
+TEXT ·bnXMM(SB), NOSPLIT, $16-168
 	MOVQ qw_base+0(FP), R8
 	MOVQ postw_base+24(FP), R9
-	MOVQ vcw_base+48(FP), SI
-	MOVQ cvw_base+72(FP), DI
-	MOVQ done_base+96(FP), R10
-	MOVQ bnOff_base+120(FP), R13
-	MOVQ cols_base+144(FP), R11
-	MOVQ cols_len+152(FP), AX
-	MOVQ tw+168(FP), CX
-	MOVQ nsw+176(FP), R14
-	MOVQ maxVec+184(FP), X14
+	MOVQ msg_base+48(FP), SI
+	MOVQ done_base+72(FP), R10
+	MOVQ bnOff_base+96(FP), R13
+	MOVQ cols_base+120(FP), R11
+	MOVQ cols_len+128(FP), AX
+	MOVQ tw+144(FP), CX
+	MOVQ nsw+152(FP), R14
+	MOVQ maxVec+160(FP), X14
 	BN_STRIPS
 
 // func unsatXMM(postw, done []uint64, vnOff, rows []int32, nsw int, out []uint64)

@@ -138,8 +138,7 @@ func fillKernelState(st *stripState, r *rng.RNG, max int, kc kernelCase, punct [
 	for _, j := range punct {
 		clear(st.qw[j*st.tw:][:st.tw])
 	}
-	randomWords(r, st.vcw, max)
-	randomWords(r, st.cvw, max)
+	randomWords(r, st.msg, max)
 	for i := range st.postw {
 		st.postw[i] = r.Uint64()
 	}
@@ -176,7 +175,7 @@ func sparsePosteriors(st *stripState, r *rng.RNG) {
 
 func cloneState(st stripState) stripState {
 	c := st
-	for _, p := range []*[]uint64{&c.qw, &c.vcw, &c.cvw, &c.postw, &c.done} {
+	for _, p := range []*[]uint64{&c.qw, &c.msg, &c.postw, &c.done} {
 		*p = append([]uint64(nil), (*p)...)
 	}
 	return c
@@ -191,10 +190,10 @@ func diffWords(t testing.TB, what string, want, got []uint64) {
 	}
 }
 
-// diffKernels runs CN, BN and unsat, in that order, through the
-// generic and the vector kernels of kc.words-word strips on identical
-// copies of one random state and requires every word of cvw, vcw,
-// postw and the syndrome output to match after each phase.
+// diffKernels runs the first-pass CN, CN, BN and unsat, in that order,
+// through the generic and the vector kernels of kc.words-word strips
+// on identical copies of one random state and requires every word of
+// msg, postw and the syndrome output to match after each phase.
 func diffKernels(t testing.TB, kg kernelGraph, p fixed.Params, seed uint64, kc kernelCase) {
 	t.Helper()
 	vec, gen := vectorKernels(t, kc.words), genericFor(kc.words)
@@ -203,13 +202,17 @@ func diffKernels(t testing.TB, kg kernelGraph, p fixed.Params, seed uint64, kc k
 	fillKernelState(&ref, r, int(p.Format.Max()), kc, kg.punct)
 	got := cloneState(ref)
 
+	gen.cnFirst(&ref, kc.clo, kc.chi)
+	vec.cnFirst(&got, kc.clo, kc.chi)
+	diffWords(t, fmt.Sprintf("%s %s scale %s: first CN msg", kg.name, kc.label(), p.Scale), ref.msg, got.msg)
+
 	gen.cn(&ref, kc.clo, kc.chi)
 	vec.cn(&got, kc.clo, kc.chi)
-	diffWords(t, fmt.Sprintf("%s %s scale %s: CN cvw", kg.name, kc.label(), p.Scale), ref.cvw, got.cvw)
+	diffWords(t, fmt.Sprintf("%s %s scale %s: CN msg", kg.name, kc.label(), p.Scale), ref.msg, got.msg)
 
 	gen.bn(&ref, kc.vlo, kc.vhi)
 	vec.bn(&got, kc.vlo, kc.vhi)
-	diffWords(t, fmt.Sprintf("%s %s: BN vcw", kg.name, kc.label()), ref.vcw, got.vcw)
+	diffWords(t, fmt.Sprintf("%s %s: BN msg", kg.name, kc.label()), ref.msg, got.msg)
 	diffWords(t, fmt.Sprintf("%s %s: BN postw", kg.name, kc.label()), ref.postw, got.postw)
 
 	if kc.sparse {
@@ -251,10 +254,11 @@ var kernelSets = []struct {
 
 // TestKernelsMatchGeneric diffs the vector kernels against the generic
 // kernels of their strip width on the small test code, C2 and ds12. It
-// must fail if a vector BN drops its +Max clamp or a vector CN drops
-// its frozen-lane blend. On C2 and ds12 the whole-range cases span
-// several assembly calls, so the syndrome's accumulation and early
-// exit across them are diffed too.
+// must fail if a vector BN drops its +Max clamp or its frozen-lane
+// blends, a vector CN drops its frozen-lane blend, or the first-pass
+// CN stores through its read table. On C2 and ds12 the whole-range
+// cases span several assembly calls, so the syndrome's accumulation
+// and early exit across them are diffed too.
 func TestKernelsMatchGeneric(t *testing.T) {
 	vectorKernels(t, 4)
 	seed := uint64(1)
@@ -276,26 +280,81 @@ func TestKernelsMatchGeneric(t *testing.T) {
 				}
 			}
 		}
-		// Every accepted scale: the scale only enters the CN phase.
+		// Every accepted scale: the scale only enters the CN phases.
 		t.Run(kg.name+"/scales", func(t *testing.T) {
 			for _, set := range kernelSets {
 				kc := kernelCase{words: set.words, tw: 8, nsw: 8, mixed: true, clo: 0, chi: g.M}
 				ref := newStripState(g, p, kc.tw)
 				fillKernelState(&ref, rng.New(seed), int(p.Format.Max()), kc, kg.punct)
 				got := cloneState(ref)
-				cv := append([]uint64(nil), ref.cvw...)
+				msg := append([]uint64(nil), ref.msg...)
 				vec, gen := vectorKernels(t, kc.words), genericFor(kc.words)
 				for _, sc := range packedScales(g, p) {
 					ref.setScale(sc)
 					got.setScale(sc)
-					copy(ref.cvw, cv)
-					copy(got.cvw, cv)
-					gen.cn(&ref, kc.clo, kc.chi)
-					vec.cn(&got, kc.clo, kc.chi)
-					diffWords(t, fmt.Sprintf("%s scale %s: CN cvw", kc.label(), sc), ref.cvw, got.cvw)
+					for _, ph := range []struct {
+						name     string
+						gen, vec func(*stripState, int, int)
+					}{{"first CN", gen.cnFirst, vec.cnFirst}, {"CN", gen.cn, vec.cn}} {
+						copy(ref.msg, msg)
+						copy(got.msg, msg)
+						ph.gen(&ref, kc.clo, kc.chi)
+						ph.vec(&got, kc.clo, kc.chi)
+						diffWords(t, fmt.Sprintf("%s scale %s: %s msg", kc.label(), sc, ph.name), ref.msg, got.msg)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestFrozenLanesKeepTheirWords checks the freeze contract of every
+// kernel set, generic and vector: the check-node passes and the
+// bit-node pass leave every lane of a frozen frame as they found it, in
+// the message and posterior words alike, as a clock-gated memory
+// would. Decode results show only the posterior half of it, since
+// nothing reads a frozen lane's message word, so it is checked on the
+// kernels.
+func TestFrozenLanesKeepTheirWords(t *testing.T) {
+	p := highSpeedParams()
+	for _, kg := range kernelGraphs(t) {
+		g := kg.g
+		for _, words := range []int{1, 4} {
+			sets := map[string]stripKernels{"generic": genericFor(words)}
+			if k, ok := simdKernels(words); ok {
+				sets["vector"] = k
+			}
+			for name, k := range sets {
+				// Three strips: live, partly frozen and fully frozen.
+				kc := kernelCase{words: words, tw: 3 * words, nsw: 3 * words, mixed: true}
+				st := newStripState(g, p, kc.tw)
+				fillKernelState(&st, rng.New(uint64(words)), int(p.Format.Max()), kc, kg.punct)
+				for _, ph := range []struct {
+					name string
+					run  func()
+				}{
+					{"first CN", func() { k.cnFirst(&st, 0, g.M) }},
+					{"CN", func() { k.cn(&st, 0, g.M) }},
+					{"BN", func() { k.bn(&st, 0, g.N) }},
+				} {
+					msg := append([]uint64(nil), st.msg...)
+					post := append([]uint64(nil), st.postw...)
+					ph.run()
+					// Word i of either array belongs to packed word i mod tw.
+					for _, a := range []struct {
+						what     string
+						was, now []uint64
+					}{{"msg", msg, st.msg}, {"postw", post, st.postw}} {
+						for i, was := range a.was {
+							if dn := st.done[i%st.tw]; (was^a.now[i])&dn != 0 {
+								t.Fatalf("%s %d-word %s %s: %s word %d changed a frozen lane: %#016x -> %#016x (done %#016x)",
+									kg.name, words, name, ph.name, a.what, i, was, a.now[i], dn)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -334,9 +393,10 @@ func FuzzKernelsVsGeneric(f *testing.F) {
 // BenchmarkStripKernels times one whole-graph pass of each strip
 // kernel on C2, generic and AVX2, at every lane width (superbatch 1:
 // 8, 16, 32 and 64 frames; LaneWidth 1 is serve's), with no lane
-// frozen. CN and BN report ns per edge-word, one edge of one packed
-// 8-frame word; unsat reports ns per check, on posteriors that satisfy
-// every check, so the walk never exits early.
+// frozen. The CN passes (cnfirst, the first iteration's, and cn) and
+// BN report ns per edge-word, one edge of one packed 8-frame word;
+// unsat reports ns per check, on posteriors that satisfy every check,
+// so the walk never exits early.
 func BenchmarkStripKernels(b *testing.B) {
 	g := kernelGraphs(b)[1].g
 	p := highSpeedParams()
@@ -357,6 +417,7 @@ func BenchmarkStripKernels(b *testing.B) {
 				per        float64
 				run        func()
 			}{
+				{"cnfirst", "ns/edge-word", edgeWords, func() { set.k.cnFirst(&st, 0, g.M) }},
 				{"cn", "ns/edge-word", edgeWords, func() { set.k.cn(&st, 0, g.M) }},
 				{"bn", "ns/edge-word", edgeWords, func() { set.k.bn(&st, 0, g.N) }},
 				{"unsat", "ns/check", float64(g.M), func() { set.k.unsat(&st, 0, g.M, out) }},

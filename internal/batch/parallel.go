@@ -132,16 +132,16 @@ type Parallel struct {
 	unsat [][]uint64 // per-shard, per-word partial syndrome MSB accumulators
 
 	hard []*bitvec.Vector // Decode/DecodeQ shared result vectors
-	q16  []int16          // quantization scratch for Decode
+	q16  [][]int16        // one word's quantized frames for DecodeInto, grown on its first call
 
 	iters []int  // per-frame iteration bookkeeping
 	conv  []bool // per-frame convergence bookkeeping
 
-	// inj, when non-nil, perturbs the packed message write-backs; lane
-	// w*Lanes+f of its address space is frame f of word w.
-	inj   fixed.Injector
-	cvMem *superMem
-	vcMem *superMem
+	// inj, when non-nil, perturbs the packed message write-backs
+	// through mem; lane w*Lanes+f of its address space is frame f of
+	// word w.
+	inj fixed.Injector
+	mem *superMem
 
 	closed bool
 }
@@ -172,10 +172,10 @@ func NewParallelGraph(g *ldpc.Graph, p fixed.Params, cfg ParallelConfig) (*Paral
 		st:    newStripState(g, p, tw),
 		kern:  kernelsFor(cfg.LaneWidth),
 		hard:  make([]*bitvec.Vector, tw*Lanes),
-		q16:   make([]int16, g.N),
 		iters: make([]int, tw*Lanes),
 		conv:  make([]bool, tw*Lanes),
 	}
+	d.mem = &superMem{d}
 	for f := range d.hard {
 		d.hard[f] = bitvec.New(g.N)
 	}
@@ -205,20 +205,9 @@ func validatePacked(g *ldpc.Graph, p fixed.Params, tw int) error {
 	if int64(g.E)*int64(tw) > math.MaxInt32 {
 		return fmt.Errorf("batch: word offsets overflow int32 (%d edges × %d words)", g.E, tw)
 	}
-	maxVN, maxCN, minCN := 0, 0, g.E+1
+	maxVN, maxCN, minCN := maxDegree(g.VNOff), maxDegree(g.CNOff), g.E+1
 	for i := 0; i < g.M; i++ {
-		dcn := g.CNDegree(i)
-		if dcn > maxCN {
-			maxCN = dcn
-		}
-		if dcn < minCN {
-			minCN = dcn
-		}
-	}
-	for j := 0; j < g.N; j++ {
-		if d := g.VNDegree(j); d > maxVN {
-			maxVN = d
-		}
+		minCN = min(minCN, g.CNDegree(i))
 	}
 	max := int(p.Format.Max())
 	if (maxVN+2)*max > 127 {
@@ -300,27 +289,21 @@ func (d *Parallel) Close() {
 // SetInjector installs (or, with nil, removes) a fault injector that
 // perturbs the packed message words between phases. Lane w*Lanes+f of
 // the injector's address space is frame f of packed word w, so an
-// 8-frame scenario addresses the same lanes at every geometry. The
-// decode path pays one nil check per phase when no injector is
-// installed.
-func (d *Parallel) SetInjector(inj fixed.Injector) {
-	d.inj = inj
-	if inj == nil {
-		d.cvMem, d.vcMem = nil, nil
-		return
-	}
-	d.cvMem = &superMem{d: d, msgs: d.st.cvw}
-	d.vcMem = &superMem{d: d, msgs: d.st.vcw}
-}
+// 8-frame scenario addresses the same lanes at every geometry. One view
+// of the message memory serves both hooks: after the check-node phase
+// its words hold the c→v messages, after the bit-node phase the v→c
+// messages. The decode path pays one nil check per phase when no
+// injector is installed.
+func (d *Parallel) SetInjector(inj fixed.Injector) { d.inj = inj }
 
-// superMem adapts the bank-major packed words to fixed.MessageMem:
-// lane w*Lanes+f of the address space is lane f of word w. Lanes of
-// frozen (early-stopped or tail) frames are not held — their memory is
-// clock-gated, so writes are discarded — keeping fault trajectories
-// identical to a scalar decoder that stopped iterating at convergence.
+// superMem adapts the bank-major packed message words to
+// fixed.MessageMem: lane w*Lanes+f of the address space is lane f of
+// word w. Lanes of frozen (early-stopped or tail) frames are not held —
+// their memory is clock-gated, so writes are discarded — keeping fault
+// trajectories identical to a scalar decoder that stopped iterating at
+// convergence.
 type superMem struct {
-	d    *Parallel
-	msgs []uint64
+	d *Parallel
 }
 
 func (m *superMem) Holds(ln int) bool {
@@ -341,7 +324,7 @@ func (m *superMem) Get(ln, edge int) int16 {
 	if !m.Holds(ln) {
 		return 0
 	}
-	return int16(lane(m.msgs[m.base(edge)+ln/Lanes], ln%Lanes))
+	return int16(lane(m.d.st.msg[m.base(edge)+ln/Lanes], ln%Lanes))
 }
 
 func (m *superMem) Set(ln, edge int, v int16) {
@@ -349,7 +332,7 @@ func (m *superMem) Set(ln, edge int, v int16) {
 		return
 	}
 	i := m.base(edge) + ln/Lanes
-	m.msgs[i] = putLane(m.msgs[i], ln%Lanes, int8(v))
+	m.d.st.msg[i] = putLane(m.d.st.msg[i], ln%Lanes, int8(v))
 }
 
 // Decode quantizes up to Capacity frames of real LLRs and decodes them
@@ -374,9 +357,18 @@ func (d *Parallel) DecodeInto(res []ldpc.Result, llrs [][]float64) error {
 			return fmt.Errorf("batch: frame %d has %d LLRs for code length %d", f, len(llr), d.g.N)
 		}
 	}
-	for f, llr := range llrs {
-		d.p.Format.QuantizeSlice(d.q16, llr)
-		d.packFrame(f, d.q16)
+	if d.q16 == nil {
+		d.q16 = make([][]int16, Lanes)
+		for f := range d.q16 {
+			d.q16[f] = make([]int16, d.g.N)
+		}
+	}
+	for w, f0 := 0, 0; f0 < len(llrs); w, f0 = w+1, f0+Lanes {
+		q := d.q16[:min(Lanes, len(llrs)-f0)]
+		for f := range q {
+			d.p.Format.QuantizeSlice(q[f], llrs[f0+f])
+		}
+		d.packWord(w, q)
 	}
 	return d.decodeInto(res)
 }
@@ -409,8 +401,8 @@ func (d *Parallel) DecodeQInto(res []ldpc.Result, qllrs [][]int16) error {
 			return fmt.Errorf("batch: frame %d has %d LLRs for code length %d", f, len(q), d.g.N)
 		}
 	}
-	for f, q := range qllrs {
-		d.packFrame(f, q)
+	for w, f0 := 0, 0; f0 < len(qllrs); w, f0 = w+1, f0+Lanes {
+		d.packWord(w, qllrs[f0:min(len(qllrs), f0+Lanes)])
 	}
 	return d.decodeInto(res)
 }
@@ -439,35 +431,37 @@ func (d *Parallel) sharedResults(nf int) []ldpc.Result {
 	return res
 }
 
-// packFrame writes one frame's quantized LLRs into lane f%Lanes of
-// word f/Lanes, saturating into the format range.
-func (d *Parallel) packFrame(f int, q []int16) {
-	tw := d.st.tw
-	w, ln := f/Lanes, f%Lanes
-	max := d.p.Format.Max()
-	for j, v := range q {
-		if v > max {
-			v = max
-		} else if v < -max {
-			v = -max
+// packWord writes the channel words of packed word w: lane f at bit
+// node j holds qs[f][j], saturated into the format range, and the
+// lanes past the last of the (at most Lanes) frames hold zero, so a
+// partial word computes on trivially converged tail lanes. It packs
+// eight bit nodes at a time: each frame's eight LLRs fill the bytes of
+// one word, and a byte transpose turns the frames' words into the bit
+// nodes' channel words, each stored once, whole. The N mod 8 tail goes
+// node by node.
+func (d *Parallel) packWord(w int, qs [][]int16) {
+	tw, qw, n := d.st.tw, d.st.qw, d.g.N
+	hi := d.p.Format.Max()
+	sat := func(v int16) uint64 { return uint64(uint8(min(max(v, -hi), hi))) }
+	j0 := 0
+	for ; j0+8 <= n; j0 += 8 {
+		var m [8]uint64
+		for f, q := range qs {
+			r := q[j0 : j0+8 : j0+8]
+			m[f] = sat(r[0]) | sat(r[1])<<8 | sat(r[2])<<16 | sat(r[3])<<24 |
+				sat(r[4])<<32 | sat(r[5])<<40 | sat(r[6])<<48 | sat(r[7])<<56
 		}
-		d.st.qw[j*tw+w] = putLane(d.st.qw[j*tw+w], ln, int8(v))
+		transposeBytes(&m)
+		for b := range m {
+			qw[(j0+b)*tw+w] = m[b]
+		}
 	}
-}
-
-// zeroTail erases the lanes of the last live word beyond the supplied
-// frames, so a partial word computes on all-zero (trivially converged)
-// tail lanes.
-func (d *Parallel) zeroTail(nf int) {
-	rem := nf % Lanes
-	if rem == 0 {
-		return
-	}
-	tw := d.st.tw
-	w := nf / Lanes
-	keep := ^uint64(0) >> (8 * uint(Lanes-rem))
-	for j := 0; j < d.g.N; j++ {
-		d.st.qw[j*tw+w] &= keep
+	for j := j0; j < n; j++ {
+		var x uint64
+		for f, q := range qs {
+			x |= sat(q[j]) << (8 * f)
+		}
+		qw[j*tw+w] = x
 	}
 }
 
@@ -483,7 +477,6 @@ func (d *Parallel) decodeInto(res []ldpc.Result) error {
 			return fmt.Errorf("batch: result %d has a length-%d bit vector for code length %d", f, b.Len(), d.g.N)
 		}
 	}
-	d.zeroTail(nf)
 	nw := (nf + Lanes - 1) / Lanes
 	d.nw, d.nf = nw, nf
 	// Round the live words up to whole strips; the padding words in
@@ -508,16 +501,19 @@ func (d *Parallel) decodeInto(res []ldpc.Result) error {
 	}
 	earlyStop := !d.p.DisableEarlyStop
 
-	d.pool.run(opInit)
 	allDone := false
 	for it := 0; it < d.p.MaxIterations && !allDone; it++ {
-		d.pool.run(opCN)
+		if it == 0 {
+			d.pool.run(opCNFirst)
+		} else {
+			d.pool.run(opCN)
+		}
 		if d.inj != nil {
-			d.inj.AfterCN(it, d.cvMem)
+			d.inj.AfterCN(it, d.mem)
 		}
 		d.pool.run(opBN)
 		if d.inj != nil {
-			d.inj.AfterBN(it, d.vcMem)
+			d.inj.AfterBN(it, d.mem)
 		}
 		if !earlyStop {
 			continue
@@ -633,22 +629,20 @@ func (d *Parallel) extractHard(res []ldpc.Result) {
 // their messages must stay put, and skipping is exactly the freeze a
 // scalar decoder realizes by breaking out of its iteration loop.
 
-// initRange seeds vc with the channel words and clears cv on the edge
-// range owned by shard s (the contiguous edges of its check range).
-func (d *Parallel) initRange(s int) {
-	g := d.g
-	d.kern.init(&d.st, int(g.CNOff[d.cnLo[s]]), int(g.CNOff[d.cnHi[s]]))
-}
-
 // cnRange runs the packed check-node update on shard s's check range:
-// disjoint cv write ranges per check node, so shards never contend.
-func (d *Parallel) cnRange(s int) {
-	d.kern.cn(&d.st, int(d.cnLo[s]), int(d.cnHi[s]))
+// each check node owns the message words of its own edges, so shards
+// never contend. The first iteration's pass reads the channel words.
+func (d *Parallel) cnRange(s int, first bool) {
+	cn := d.kern.cn
+	if first {
+		cn = d.kern.cnFirst
+	}
+	cn(&d.st, int(d.cnLo[s]), int(d.cnHi[s]))
 }
 
 // bnRange runs the packed bit-node update on shard s's bit-node range:
-// each bit node owns its posterior word and the vc words of its own
-// edges, so shard write sets are disjoint by column.
+// each bit node owns its posterior word and the message words of its
+// own edges, so shard write sets are disjoint by column.
 func (d *Parallel) bnRange(s int) {
 	d.kern.bn(&d.st, int(d.vnLo[s]), int(d.vnHi[s]))
 }
@@ -666,7 +660,7 @@ func (d *Parallel) unsatRange(s int) {
 type shardOp uint8
 
 const (
-	opInit shardOp = iota
+	opCNFirst shardOp = iota
 	opCN
 	opBN
 	opUnsat
@@ -702,10 +696,8 @@ func (p *shardPool) work(s int, ops <-chan shardOp) {
 
 func (d *Parallel) shardWork(s int, op shardOp) {
 	switch op {
-	case opInit:
-		d.initRange(s)
-	case opCN:
-		d.cnRange(s)
+	case opCNFirst, opCN:
+		d.cnRange(s, op == opCNFirst)
 	case opBN:
 		d.bnRange(s)
 	case opUnsat:

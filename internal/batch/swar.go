@@ -146,6 +146,27 @@ func transpose8(x uint64) uint64 {
 	return x ^ t ^ t<<28
 }
 
+// transposeBytes transposes the 8×8 byte matrix whose row r is m[r]:
+// byte c of m[r] moves to byte r of m[c]. Three rounds swap the
+// off-diagonal 4×4, 2×2 and 1×1 blocks.
+func transposeBytes(m *[8]uint64) {
+	for i := 0; i < 4; i++ {
+		t := (m[i]>>32 ^ m[i+4]) & 0x00000000FFFFFFFF
+		m[i] ^= t << 32
+		m[i+4] ^= t
+	}
+	for _, i := range [4]int{0, 1, 4, 5} {
+		t := (m[i]>>16 ^ m[i+2]) & 0x0000FFFF0000FFFF
+		m[i] ^= t << 16
+		m[i+2] ^= t
+	}
+	for i := 0; i < 8; i += 2 {
+		t := (m[i]>>8 ^ m[i+1]) & 0x00FF00FF00FF00FF
+		m[i] ^= t << 8
+		m[i+1] ^= t
+	}
+}
+
 // broadcast8 fills every lane with the low byte of v.
 func broadcast8(v uint8) uint64 {
 	return uint64(v) * laneLSB

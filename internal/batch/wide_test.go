@@ -182,7 +182,9 @@ func TestEightWordBindingAliasesFour(t *testing.T) {
 // decoded at two strip widths derived from the input and checked
 // lane-for-lane against the scalar fixed-point decoder — which also
 // pins the two widths to each other. Partial strips and ragged tail
-// words come from the fuzzed frame count.
+// words come from the fuzzed frame count. Each decoder first decodes a
+// full call of 64 rotated frames, so the fuzzed call's frozen lanes
+// start from the words that call left.
 func FuzzWideVsFixed(f *testing.F) {
 	c, err := code.SmallTestCode(2, 4, 31, 1)
 	if err != nil {
@@ -212,41 +214,14 @@ func FuzzWideVsFixed(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nf := 1 + int(frames)%64
-		qs := make([][]int16, nf)
-		for ln := range qs {
-			q := make([]int16, c.N)
-			for j := range q {
-				var b byte
-				if len(data) > 0 {
-					b = data[(j+ln*11)%len(data)]
+		for call, cl := range []struct{ nf, rot int }{{ca.Capacity(), 13}, {1 + int(frames)%64, 11}} {
+			qs := fuzzFrames(c.N, data, cl.nf, cl.rot)
+			for _, d := range []*Parallel{ca, cb} {
+				got, err := d.DecodeQ(qs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				q[j] = int16(b%31) - 15
-			}
-			qs[ln] = q
-		}
-		ga, err := ca.DecodeQ(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := cb.DecodeQ(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ln := 0; ln < nf; ln++ {
-			want := fd.DecodeQ(qs[ln])
-			for _, g := range []struct {
-				w   int
-				res ldpc.Result
-			}{{wa, ga[ln]}, {wb, gb[ln]}} {
-				if !g.res.Bits.Equal(want.Bits) {
-					t.Fatalf("L%d frame %d/%d, %d iters: hard decisions diverge from scalar decoder",
-						g.w, ln, nf, p.MaxIterations)
-				}
-				if g.res.Iterations != want.Iterations || g.res.Converged != want.Converged {
-					t.Fatalf("L%d frame %d/%d: wide (it=%d conv=%v) vs scalar (it=%d conv=%v)",
-						g.w, ln, nf, g.res.Iterations, g.res.Converged, want.Iterations, want.Converged)
-				}
+				checkVsFixed(t, fmt.Sprintf("L%d call %d, %d iters", d.Config().LaneWidth, call, p.MaxIterations), fd, qs, got)
 			}
 		}
 	})

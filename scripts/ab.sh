@@ -32,9 +32,11 @@
 #   UNRESOLVED  either side's IQR exceeds the bound times the parent's
 #               median, and not every change run beats every parent run.
 #
-# Per workload and side it prints the median core_speed and the summed
-# failed/attempted counts, and flags any run whose correctness gate
-# failed. Needs bash, git, awk and jq.
+# Per workload and side it prints the median core_speed, the median
+# info_mbps_unscaled (the information rate before scaling to the
+# reference core speed, so a speed claim's dependence on that scaling
+# shows), and the summed failed/attempted counts, and flags any run
+# whose correctness gate failed. Needs bash, git, awk and jq.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
@@ -58,7 +60,8 @@ results="$tmp/results.tsv" # workload, pair, side, key, value
 : >"$results"
 
 # run SIDE DIR WORKLOAD PAIR: one benchmark run; its end-to-end
-# metrics, core_speed and counts go to the results table.
+# metrics, core_speed, info_mbps_unscaled and counts go to the results
+# table.
 run() {
 	local side=$1 dir=$2 w=$3 pair=$4
 	local log="$tmp/runs/$w-$pair-$side.log"
@@ -80,7 +83,7 @@ run() {
 		[$w, $p, $s, "attempted", (.attempted | tostring)]
 		| @tsv' <<<"$json" >>"$results"
 	awk -v w="$w" -v p="$pair" -v s="$side" \
-		'$1 == "#" && $2 == w && $3 == "core_speed" { print w "\t" p "\t" s "\tcore_speed\t" $4 }' \
+		'$1 == "#" && $2 == w && ($3 == "core_speed" || $3 == "info_mbps_unscaled") { print w "\t" p "\t" s "\t" $3 "\t" $4 }' \
 		"$log" >>"$results"
 	printf '  %-6s %s\n' "$side" "$(jq -c '.metrics | map_values(.value)' <<<"$json")" >&2
 }
@@ -165,14 +168,15 @@ awk -F'\t' -v order="$workloads" '
 			for (si = 1; si <= 2; si++) {
 				side = si == 1 ? "parent" : "change"
 				stats(w SUBSEP side SUBSEP "core_speed"); cs = med
+				stats(w SUBSEP side SUBSEP "info_mbps_unscaled"); um = med
 				f = 0; t = 0; bad = 0
 				for (i = 1; i <= np[w]; i++) {
 					p = pl[w, i]
 					f += x[w, p, side, "failed"]; t += x[w, p, side, "attempted"]
 					if (x[w, p, side, "correct"] != "true") bad++
 				}
-				printf "%-15s %-6s core_speed median %.3g, failed/attempted %d/%d%s\n",
-					w, side, cs, f, t, bad ? sprintf(", %d runs FAILED the correctness gate", bad) : ""
+				printf "%-15s %-6s core_speed median %.3g, info_mbps_unscaled median %.4g, failed/attempted %d/%d%s\n",
+					w, side, cs, um, f, t, bad ? sprintf(", %d runs FAILED the correctness gate", bad) : ""
 			}
 		}
 	}' "$tmp/metrics.tsv" "$results"
